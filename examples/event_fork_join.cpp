@@ -78,10 +78,10 @@ main()
     producer.enqueue(gemm(&gpu, 64, 64, 256, "head"));
 
     // Advance incrementally: peek at the first 15k cycles...
-    EngineStats peek = gpu.run_until(15000);
-    std::printf("after run_until(15000): %zu kernel(s) retired, engine "
+    RunProgress peek = gpu.run_until(15000);
+    std::printf("after run_until(15000): %llu kernel(s) retired, engine "
                 "paused at cycle %llu\n",
-                peek.kernels.size(),
+                static_cast<unsigned long long>(peek.kernels_retired),
                 static_cast<unsigned long long>(peek.current_cycle));
 
     // ...then finish the branch phase and time it with events.

@@ -224,6 +224,9 @@ ServingLoop::launch_wavefront(std::vector<int> reqs, uint64_t now)
         r.admit_cycle = now;
         r.batch = wid;
     }
+    // Wavefront ids are dense and issued in order: batches_[wid] is
+    // wavefront wid's record.
+    TCSIM_CHECK(batches_.size() == static_cast<size_t>(wid));
     BatchRecord b;
     b.id = wid;
     b.admit_cycle = now;
@@ -266,9 +269,7 @@ ServingLoop::on_wavefront_done(int wid, uint64_t cycle)
         records_[static_cast<size_t>(ridx)].finish_cycle = cycle;
         ++completed_;
     }
-    for (BatchRecord& b : batches_)
-        if (b.id == wid)
-            b.finish_cycle = cycle;
+    batches_[static_cast<size_t>(wid)].finish_cycle = cycle;
     wavefront_reqs_.erase(it);
     wavefront_streams_.erase(wid);
     --in_flight_;
@@ -287,10 +288,7 @@ ServingLoop::kill_due_wavefronts(uint64_t now)
     // drains CTAs on its own, so the wait is bounded).
     std::vector<int> due;
     for (const auto& [wid, streams] : wavefront_streams_) {
-        uint64_t admit = 0;
-        for (const BatchRecord& b : batches_)
-            if (b.id == wid)
-                admit = b.admit_cycle;
+        const uint64_t admit = batches_[static_cast<size_t>(wid)].admit_cycle;
         if (now < admit + res_.batch_timeout_cycles)
             continue;
         bool quiescent = true;
@@ -303,11 +301,9 @@ ServingLoop::kill_due_wavefronts(uint64_t now)
         for (Stream* s : wavefront_streams_[wid])
             gpu_.kill_stream(*s);
         ++killed_batches_;
-        for (BatchRecord& b : batches_)
-            if (b.id == wid) {
-                b.killed = true;
-                b.finish_cycle = now;
-            }
+        BatchRecord& b = batches_[static_cast<size_t>(wid)];
+        b.killed = true;
+        b.finish_cycle = now;
         for (int ridx : wavefront_reqs_[wid]) {
             RequestRecord& r = records_[static_cast<size_t>(ridx)];
             if (r.retries >= res_.max_retries) {
@@ -459,10 +455,10 @@ ServingLoop::run()
         if (!retry_ready_.empty())
             next = std::min(next, retry_ready_.begin()->first);
         if (res_.batch_timeout_cycles > 0)
-            for (const BatchRecord& b : batches_)
-                if (wavefront_streams_.count(b.id))
-                    next = std::min(
-                        next, b.admit_cycle + res_.batch_timeout_cycles);
+            for (const auto& [wid, streams] : wavefront_streams_)
+                next = std::min(
+                    next, batches_[static_cast<size_t>(wid)].admit_cycle +
+                              res_.batch_timeout_cycles);
         // A stimulus past the simulation horizon is no stimulus.
         if (next == UINT64_MAX || next > sim_.max_cycles) {
             if (in_flight_ == 0) {
@@ -513,6 +509,8 @@ ServingLoop::run()
     gpu_.default_stream().record(*shutdown_);
     ServingResult out;
     out.totals = gpu_.run();
+    out.gmem_footprint = gpu_.mem().footprint();
+    out.gmem_backed = gpu_.mem().backed();
     out.faults_enabled = gpu_.faults_enabled();
     if (out.faults_enabled)
         out.faults = gpu_.fault_counters();

@@ -129,6 +129,11 @@ struct ServingResult
 {
     ServingReport report;
     EngineStats totals;
+    /** Global memory at the end of the run: the bytes its allocations
+     *  span, and the host bytes backing them.  Serving launches are
+     *  timing-only and never write, so they back nothing. */
+    uint64_t gmem_footprint = 0;
+    uint64_t gmem_backed = 0;
     /** Injected-fault telemetry of the underlying Gpu (meaningful
      *  only when `faults_enabled`). */
     bool faults_enabled = false;

@@ -35,7 +35,11 @@ ExecutionEngine::ExecutionEngine(const GpuConfig& cfg, const SimOptions& opts,
     }
 }
 
-ExecutionEngine::~ExecutionEngine() = default;
+ExecutionEngine::~ExecutionEngine()
+{
+    if (run_)
+        release_streams();
+}
 
 uint64_t
 ExecutionEngine::now() const
@@ -46,13 +50,15 @@ ExecutionEngine::now() const
 bool
 ExecutionEngine::prepare(const std::vector<Stream*>& streams)
 {
-    entry_streams_ = streams;
+    if (!stream_source_)
+        entry_streams_ = streams;
     if (!run_) {
         bool any_work = false;
         for (Stream* s : streams)
             any_work |= !s->ops_.empty();
         if (!any_work)
             return false;
+        last_stats_ = EngineStats{};
         run_ = std::make_unique<RunState>();
         run_->wall_start = std::chrono::steady_clock::now();
         mem_->reset_timing();
@@ -67,14 +73,63 @@ ExecutionEngine::absorb_streams(const std::vector<Stream*>& streams)
 {
     // Streams created since the run began join at the end (their
     // StreamRun order follows the caller's stream order on first
-    // sight).
-    for (Stream* s : streams) {
-        bool known = false;
-        for (const StreamRun& sr : run_->stream_runs)
-            known |= sr.stream == s;
-        if (!known)
-            run_->stream_runs.push_back(StreamRun{s, nullptr});
+    // sight).  Every seen stream is in @p streams, so the growth counts
+    // the new ones; Gpu appends new streams at the back, so a backward
+    // scan finds them without revisiting the whole set.
+    RunState& rs = *run_;
+    if (streams.size() <= rs.stream_runs.size())
+        return;
+    const size_t fresh = streams.size() - rs.stream_runs.size();
+    std::vector<Stream*> unseen;
+    for (auto it = streams.rbegin();
+         it != streams.rend() && unseen.size() < fresh; ++it)
+        if (!rs.stream_index.count(*it))
+            unseen.push_back(*it);
+    for (auto it = unseen.rbegin(); it != unseen.rend(); ++it) {
+        const size_t idx = rs.stream_runs.size();
+        if (!rs.stream_index.emplace(*it, idx).second)
+            continue;
+        rs.stream_runs.push_back(StreamRun{*it, nullptr});
+        // The newest index sorts last: queued stays ascending.
+        rs.queued.push_back(idx);
     }
+}
+
+ExecutionEngine::StreamRun*
+ExecutionEngine::find_stream_run(const Stream* stream) const
+{
+    auto it = run_->stream_index.find(stream);
+    return it == run_->stream_index.end() ? nullptr
+                                          : &run_->stream_runs[it->second];
+}
+
+void
+ExecutionEngine::wake_streams()
+{
+    RunState& rs = *run_;
+    for (Stream* s : rs.wakeups) {
+        const size_t idx = rs.stream_index.at(s);
+        rs.queued.insert(
+            std::upper_bound(rs.queued.begin(), rs.queued.end(), idx), idx);
+    }
+    rs.wakeups.clear();
+}
+
+void
+ExecutionEngine::park(size_t idx)
+{
+    RunState& rs = *run_;
+    auto it = std::lower_bound(rs.queued.begin(), rs.queued.end(), idx);
+    TCSIM_CHECK(it != rs.queued.end() && *it == idx);
+    rs.queued.erase(it);
+    rs.stream_runs[idx].stream->wake_list_ = &rs.wakeups;
+}
+
+void
+ExecutionEngine::release_streams()
+{
+    for (StreamRun& sr : run_->stream_runs)
+        sr.stream->wake_list_ = nullptr;
 }
 
 void
@@ -84,10 +139,12 @@ ExecutionEngine::validate_and_size()
     // whose grids total fewer CTAs than the chip has SMs never
     // occupies the excess SMs, so don't construct (or tick) them.
     // Re-run on every advance entry and after host callbacks fire, so
-    // work enqueued mid-run is checked and sized too.
+    // work enqueued mid-run is checked and sized too.  Parked streams
+    // have empty queues, so only the queued ones are scanned.
+    wake_streams();
     uint64_t total_ctas = 0;
-    for (const StreamRun& sr : run_->stream_runs) {
-        for (const Stream::Op& op : sr.stream->ops_) {
+    for (size_t idx : run_->queued) {
+        for (const Stream::Op& op : run_->stream_runs[idx].stream->ops_) {
             if (op.kind != Stream::OpKind::kLaunch)
                 continue;
             const KernelDesc& k = op.kernel;
@@ -147,7 +204,14 @@ ExecutionEngine::promote_streams(uint64_t now)
     // another in the same tick, so rescan until nothing changes.
     for (bool progress = true; progress;) {
         progress = false;
-        for (StreamRun& sr : rs.stream_runs) {
+        wake_streams();
+        // Visit the queued streams in StreamRun order.  A callback may
+        // append to a parked stream: it wakes straight into the list
+        // and, when it sorts after the current stream, is visited in
+        // this same pass — exactly as a scan of every stream would.
+        for (auto next = rs.queued.begin(); next != rs.queued.end();) {
+            const size_t idx = *next;
+            StreamRun& sr = rs.stream_runs[idx];
             while (sr.live == nullptr && !sr.stream->ops_.empty()) {
                 Stream::Op& front = sr.stream->ops_.front();
                 if (front.kind == Stream::OpKind::kWaitEvent) {
@@ -177,6 +241,7 @@ ExecutionEngine::promote_streams(uint64_t now)
                     sr.stream->ops_.pop_front();
                     if (fn)
                         fn(now);
+                    wake_streams();
                     callbacks_fired_ = true;
                     any_op = progress = true;
                     continue;
@@ -210,11 +275,15 @@ ExecutionEngine::promote_streams(uint64_t now)
                         l->fault_slowdown =
                             fault_plan_->take_slowdown(l->desc.name);
                 }
+                l->stream_run = idx;
                 sr.live = l.get();
                 rs.resident.push_back(std::move(l));
                 progress = true;
                 break;
             }
+            if (sr.stream->ops_.empty())
+                park(idx);
+            next = std::upper_bound(rs.queued.begin(), rs.queued.end(), idx);
         }
     }
     return any_op;
@@ -540,10 +609,18 @@ ExecutionEngine::finalize(Launch& l) const
 bool
 ExecutionEngine::drained() const
 {
-    for (const StreamRun& sr : run_->stream_runs)
-        if (sr.live != nullptr || !sr.stream->empty())
+    // Live launches are resident; queued ops sit on queued or woken
+    // streams (parked ones have none).
+    const RunState& rs = *run_;
+    if (!rs.resident.empty())
+        return false;
+    for (size_t idx : rs.queued)
+        if (!rs.stream_runs[idx].stream->empty())
             return false;
-    return run_->resident.empty();
+    for (const Stream* s : rs.wakeups)
+        if (!s->empty())
+            return false;
+    return true;
 }
 
 std::string
@@ -782,9 +859,8 @@ ExecutionEngine::step(uint64_t bound)
         rs.last_finish = std::max(rs.last_finish, l->grid.finish_cycle);
         rs.stats.kernels.push_back(finalize(*l));
         finish_replay(*l, rs.stats.kernels.back());
-        for (StreamRun& sr : rs.stream_runs)
-            if (sr.live == l.get())
-                sr.live = nullptr;
+        if (rs.stream_runs[l->stream_run].live == l.get())
+            rs.stream_runs[l->stream_run].live = nullptr;
         retiring_.push_back(&l->grid);
         l->retired = true;
         retired = true;
@@ -944,30 +1020,42 @@ ExecutionEngine::fill_totals(EngineStats* out) const
 }
 
 EngineStats
-ExecutionEngine::snapshot() const
+ExecutionEngine::stats() const
 {
+    if (!run_)
+        return last_stats_;
     EngineStats out = run_->stats;
     fill_totals(&out);
     return out;
 }
 
-EngineStats
+RunProgress
+ExecutionEngine::progress() const
+{
+    if (!run_)
+        return RunProgress{last_stats_.current_cycle,
+                           last_stats_.kernels.size(), false};
+    return RunProgress{run_->now, run_->stats.kernels.size(), true};
+}
+
+void
 ExecutionEngine::finish()
 {
-    EngineStats out = std::move(run_->stats);
-    fill_totals(&out);
+    last_stats_ = std::move(run_->stats);
+    fill_totals(&last_stats_);
+    release_streams();
     run_.reset();
-    return out;
 }
 
 template <typename DoneFn>
-EngineStats
+RunProgress
 ExecutionEngine::advance(DoneFn done, bool pause_on_block, uint64_t bound)
 {
     while (!done()) {
         switch (step(bound)) {
           case StepResult::kDrained:
-            return finish();
+            finish();
+            return progress();
           case StepResult::kBlocked:
             if (!pause_on_block) {
                 // A run-to-completion entry point cannot hand control
@@ -981,12 +1069,12 @@ ExecutionEngine::advance(DoneFn done, bool pause_on_block, uint64_t bound)
                         static_cast<unsigned long long>(run_->now))));
                 report_deadlock();
             }
-            return snapshot();
+            return progress();
           case StepResult::kRunning:
             break;
         }
     }
-    return snapshot();
+    return progress();
 }
 
 EngineStats
@@ -994,15 +1082,16 @@ ExecutionEngine::run(const std::vector<Stream*>& streams)
 {
     if (!prepare(streams))
         return EngineStats{};
-    return advance([] { return false; }, /*pause_on_block=*/false);
+    advance([] { return false; }, /*pause_on_block=*/false);
+    return last_stats_;
 }
 
-EngineStats
+RunProgress
 ExecutionEngine::run_until(const std::vector<Stream*>& streams,
                            uint64_t cycle)
 {
     if (!prepare(streams))
-        return EngineStats{};
+        return RunProgress{};
     // A bounded advance pauses on host-resolvable waits instead of
     // throwing: the caller may record the missing event and resume.
     return advance([&] { return run_->now > cycle; },
@@ -1030,7 +1119,9 @@ ExecutionEngine::advance_idle_to(uint64_t cycle)
                 "kernel(s) resident)",
                 static_cast<unsigned long long>(rs.now),
                 rs.resident.size()));
-    for (const StreamRun& sr : rs.stream_runs) {
+    wake_streams();
+    for (size_t idx : rs.queued) {
+        const StreamRun& sr = rs.stream_runs[idx];
         if (sr.stream->ops_.empty())
             continue;
         // A stream blocked behind its own hung launch cannot run
@@ -1064,28 +1155,27 @@ ExecutionEngine::kill_stream(Stream* stream)
     if (!run_)
         return;
     RunState& rs = *run_;
-    for (StreamRun& sr : rs.stream_runs) {
-        if (sr.stream != stream || sr.live == nullptr)
-            continue;
-        Launch* l = sr.live;
-        if (!l->grid.done())
-            throw std::runtime_error(detail::format(
-                "kill_stream: launch \"%s\" on stream %d still has CTAs "
-                "executing at cycle %llu (%d/%d done); killing it would "
-                "leave SM state dangling",
-                l->desc.name.c_str(), stream->id(),
-                static_cast<unsigned long long>(rs.now), l->grid.ctas_done,
-                l->desc.grid_ctas));
-        // Evict without a statistics entry: the kernel never
-        // completed, so its work is lost — exactly the cost a real
-        // fleet pays for killing a hung batch.
-        for (auto& sm : rs.sms)
-            sm->forget_grid(&l->grid);
-        sr.live = nullptr;
-        std::erase_if(rs.resident, [l](const std::unique_ptr<Launch>& p) {
-            return p.get() == l;
-        });
-    }
+    StreamRun* sr = find_stream_run(stream);
+    if (sr == nullptr || sr->live == nullptr)
+        return;
+    Launch* l = sr->live;
+    if (!l->grid.done())
+        throw std::runtime_error(detail::format(
+            "kill_stream: launch \"%s\" on stream %d still has CTAs "
+            "executing at cycle %llu (%d/%d done); killing it would "
+            "leave SM state dangling",
+            l->desc.name.c_str(), stream->id(),
+            static_cast<unsigned long long>(rs.now), l->grid.ctas_done,
+            l->desc.grid_ctas));
+    // Evict without a statistics entry: the kernel never completed, so
+    // its work is lost — exactly the cost a real fleet pays for killing
+    // a hung batch.
+    for (auto& sm : rs.sms)
+        sm->forget_grid(&l->grid);
+    sr->live = nullptr;
+    std::erase_if(rs.resident, [l](const std::unique_ptr<Launch>& p) {
+        return p.get() == l;
+    });
 }
 
 bool
@@ -1093,13 +1183,11 @@ ExecutionEngine::stream_quiescent(const Stream* stream) const
 {
     if (!run_)
         return true;
-    for (const StreamRun& sr : run_->stream_runs)
-        if (sr.stream == stream)
-            return sr.live == nullptr || sr.live->grid.done();
-    return true;
+    const StreamRun* sr = find_stream_run(stream);
+    return sr == nullptr || sr->live == nullptr || sr->live->grid.done();
 }
 
-EngineStats
+RunProgress
 ExecutionEngine::synchronize(const std::vector<Stream*>& streams,
                              const Stream& stream)
 {
@@ -1108,20 +1196,21 @@ ExecutionEngine::synchronize(const std::vector<Stream*>& streams,
     // RunState and reset memory timing for nothing.
     bool idle = stream.ops_.empty();
     if (idle && run_) {
-        for (const StreamRun& sr : run_->stream_runs)
-            if (sr.stream == &stream)
-                idle = sr.live == nullptr;
+        const StreamRun* sr = find_stream_run(&stream);
+        idle = sr == nullptr || sr->live == nullptr;
     }
     if (idle)
-        return active() ? snapshot() : EngineStats{};
+        return active() ? progress() : RunProgress{};
     if (!prepare(streams))
-        return EngineStats{};
+        return RunProgress{};
+    auto known = run_->stream_index.find(&stream);
+    if (known == run_->stream_index.end())
+        return progress();  // Unknown stream: trivially drained.
+    // By index: host callbacks may grow stream_runs mid-advance.
+    const size_t idx = known->second;
     return advance(
         [&] {
-            for (const StreamRun& sr : run_->stream_runs)
-                if (sr.stream == &stream)
-                    return sr.live == nullptr && sr.stream->empty();
-            return true;  // Unknown stream: trivially drained.
+            return run_->stream_runs[idx].live == nullptr && stream.empty();
         },
         /*pause_on_block=*/false);
 }
@@ -1332,6 +1421,9 @@ ExecutionEngine::load_state(SnapshotReader& r,
                             const std::vector<Stream*>& streams)
 {
     r.tag(kTagEngine);
+    last_stats_ = EngineStats{};
+    if (run_)
+        release_streams();
     run_ = std::make_unique<RunState>();
     run_->wall_start = std::chrono::steady_clock::now();
     RunState& rs = *run_;
@@ -1407,7 +1499,12 @@ ExecutionEngine::load_state(SnapshotReader& r,
             if (static_cast<uint64_t>(live) >= nres)
                 throw SnapshotError("live launch index out of range");
             sr.live = rs.resident[static_cast<size_t>(live)].get();
+            sr.live->stream_run = rs.stream_runs.size();
         }
+        // Every stream starts queued; the first promotion parks the
+        // idle ones.
+        rs.queued.push_back(rs.stream_runs.size());
+        rs.stream_index.emplace(sr.stream, rs.stream_runs.size());
         rs.stream_runs.push_back(sr);
     }
 
@@ -1480,19 +1577,19 @@ ExecutionEngine::load_state(SnapshotReader& r,
     load_stalls(r, &rs.replay_stalls);
 }
 
-EngineStats
+RunProgress
 ExecutionEngine::synchronize(const std::vector<Stream*>& streams,
                              const Event& event)
 {
     if (event.complete())
-        return active() ? snapshot() : EngineStats{};
+        return active() ? progress() : RunProgress{};
     if (!prepare(streams)) {
         throw EngineDeadlockError(detail::format(
             "synchronize: event \"%s\" has not completed and no work is "
             "queued that could complete it",
             event.name().c_str()));
     }
-    EngineStats out = advance([&] { return event.complete(); },
+    RunProgress out = advance([&] { return event.complete(); },
                               /*pause_on_block=*/false);
     if (!event.complete()) {
         throw EngineDeadlockError(detail::format(

@@ -50,6 +50,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include <chrono>
@@ -106,8 +107,8 @@ struct LaunchStats
     }
 };
 
-/** Aggregate statistics of one engine run (or a paused snapshot of
- *  one: run_until()/synchronize() return progress so far). */
+/** Aggregate statistics of one engine run (or, for a paused run, its
+ *  progress so far: see ExecutionEngine::stats()). */
 struct EngineStats
 {
     /** Cycle the last retired kernel drained, plus one (total length
@@ -150,6 +151,20 @@ struct EngineStats
         double seconds = static_cast<double>(cycles) / (clock_ghz * 1e9);
         return flops / seconds / 1e12;
     }
+};
+
+/** Where a bounded advance (run_until/synchronize) left the run.  O(1)
+ *  to produce, unlike EngineStats: ExecutionEngine::stats() builds the
+ *  full statistics only when asked. */
+struct RunProgress
+{
+    /** Engine clock: the next cycle a paused run simulates on resume,
+     *  or the clock a drained run ended at (0 when no run began). */
+    uint64_t current_cycle = 0;
+    /** Kernels the run has retired so far. */
+    uint64_t kernels_retired = 0;
+    /** The run is paused and resumable (false once it drained). */
+    bool active = false;
 };
 
 /** Options controlling one simulation run. */
@@ -292,23 +307,27 @@ class ExecutionEngine
     EngineStats run(const std::vector<Stream*>& streams);
 
     /** Advance the active (or newly begun) run while the engine clock
-     *  is <= @p cycle.  Returns progress so far; the final advance
-     *  that drains every stream returns the complete run's stats.
-     *  Unlike run(), a bounded advance does not treat blocked waits
-     *  as fatal: when only host action can unblock the run (an event
-     *  nobody has recorded yet), it pauses early instead of throwing,
-     *  so the host may record/enqueue and resume. */
-    EngineStats run_until(const std::vector<Stream*>& streams,
+     *  is <= @p cycle.  Returns where the run stands (stats() has the
+     *  full statistics).  Unlike run(), a bounded advance does not
+     *  treat blocked waits as fatal: when only host action can unblock
+     *  the run (an event nobody has recorded yet), it pauses early
+     *  instead of throwing, so the host may record/enqueue and resume. */
+    RunProgress run_until(const std::vector<Stream*>& streams,
                           uint64_t cycle);
 
     /** Advance until @p stream has no queued ops and no live launch. */
-    EngineStats synchronize(const std::vector<Stream*>& streams,
+    RunProgress synchronize(const std::vector<Stream*>& streams,
                             const Stream& stream);
 
     /** Advance until @p event completes.  Throws EngineDeadlockError
      *  when every stream drains without the event ever completing. */
-    EngineStats synchronize(const std::vector<Stream*>& streams,
+    RunProgress synchronize(const std::vector<Stream*>& streams,
                             const Event& event);
+
+    /** Statistics built on demand: the active run's progress so far,
+     *  else the final statistics of the last run that drained (empty
+     *  when none has).  O(kernels retired). */
+    EngineStats stats() const;
 
     /** A run has begun and not yet drained (paused, resumable). */
     bool active() const { return run_ != nullptr; }
@@ -355,7 +374,8 @@ class ExecutionEngine
      *  — is validated, absorbed, and given a correctly sized SM
      *  array.  Without it the engine falls back to the stream vector
      *  passed to the last advance entry point. */
-    void set_stream_source(std::function<std::vector<Stream*>()> source)
+    void set_stream_source(
+        std::function<const std::vector<Stream*>&()> source)
     {
         stream_source_ = std::move(source);
     }
@@ -390,6 +410,8 @@ class ExecutionEngine
         KernelDesc desc;
         GridRun grid;
         MemStats mem_base;  ///< Memory counters at residency start.
+        /** Index of the StreamRun this launch is live on. */
+        size_t stream_run = 0;
 
         /** Replay cache (SimOptions::replay_mode).  record_key
          *  non-empty = this launch runs in detail and its profile is
@@ -493,7 +515,21 @@ class ExecutionEngine
     struct RunState
     {
         std::vector<std::unique_ptr<SM>> sms;
+        /** In order of first sight (the promotion scan order). */
         std::vector<StreamRun> stream_runs;
+        /** Index of each stream's StreamRun: O(1) membership and
+         *  lookup however many streams the run has seen. */
+        std::unordered_map<const Stream*, size_t> stream_index;
+        /** StreamRun indices (ascending) of the streams promotion
+         *  visits.  A stream whose queue runs empty is parked — dropped
+         *  from here until an op is appended to it, which lists it in
+         *  wakeups — so per-tick work follows the streams in use, not
+         *  every stream the run has seen.  Every stream with queued ops
+         *  is here or in wakeups. */
+        std::vector<size_t> queued;
+        /** Parked streams that have had ops appended since; merged into
+         *  queued before anything reads it (wake_streams()). */
+        std::vector<Stream*> wakeups;
         /** Resident launches in dispatch-priority (launch-id) order. */
         std::vector<std::unique_ptr<Launch>> resident;
         /** Indices (ascending) of SMs with work in flight: the only
@@ -538,8 +574,26 @@ class ExecutionEngine
      *  there is neither an active run nor queued work. */
     bool prepare(const std::vector<Stream*>& streams);
 
-    /** Add StreamRuns for streams the run has not seen yet. */
+    /** Add StreamRuns for streams the run has not seen yet.  @p
+     *  streams must include every stream the run has already seen (Gpu
+     *  passes its whole stream set, growing at the back), so a set no
+     *  larger than the seen one holds nothing new and costs O(1), and
+     *  new streams at the back cost O(new). */
     void absorb_streams(const std::vector<Stream*>& streams);
+
+    /** The active run's StreamRun of @p stream, or null if unseen. */
+    StreamRun* find_stream_run(const Stream* stream) const;
+
+    /** Merge woken streams into RunState::queued (StreamRun order). */
+    void wake_streams();
+
+    /** Stop visiting StreamRun @p idx, whose queue is empty, until an
+     *  op is appended to its stream. */
+    void park(size_t idx);
+
+    /** Disarm the wakeups of every stream of the active run (the run
+     *  is ending or being replaced). */
+    void release_streams();
 
     /** Validate every queued launch and grow the SM array to cover
      *  the CTAs now pending (queued + resident).  Re-run whenever new
@@ -592,19 +646,18 @@ class ExecutionEngine
     void shadow_commit(uint64_t now);
     LaunchStats finalize(Launch& l) const;
     bool drained() const;
-    /** Snapshot of the active run's progress. */
-    EngineStats snapshot() const;
-    /** Final stats of the drained run; tears the run down. */
-    EngineStats finish();
+    /** Where the active run stands, else the last drained run's end. */
+    RunProgress progress() const;
+    /** Keep the drained run's final stats (stats()) and tear it down. */
+    void finish();
     /** Fill the aggregate fields derived from retired kernels. */
     void fill_totals(EngineStats* out) const;
-    /** Advance until @p done_fn() or the run drains; returns final or
-     *  snapshot stats accordingly.  When the run blocks on waits only
-     *  the host can resolve, pause (snapshot) if @p pause_on_block,
-     *  else throw EngineDeadlockError with the wait graph.  @p bound
-     *  caps each tick's idle-skip jump (see step()). */
+    /** Advance until @p done_fn() or the run drains.  When the run
+     *  blocks on waits only the host can resolve, pause if @p
+     *  pause_on_block, else throw EngineDeadlockError with the wait
+     *  graph.  @p bound caps each tick's idle-skip jump (see step()). */
     template <typename DoneFn>
-    EngineStats advance(DoneFn done, bool pause_on_block,
+    RunProgress advance(DoneFn done, bool pause_on_block,
                         uint64_t bound = UINT64_MAX);
     [[noreturn]] void report_deadlock();
     /** Per-stream wait-graph lines of the current run (shared by the
@@ -645,9 +698,13 @@ class ExecutionEngine
     std::vector<CtaCompletion> completions_;
 
     std::unique_ptr<RunState> run_;
+    /** Final statistics of the last run that drained (stats() while
+     *  idle); released when the next run begins. */
+    EngineStats last_stats_;
     /** Live stream list provider (see set_stream_source). */
-    std::function<std::vector<Stream*>()> stream_source_;
-    /** Streams passed at the last advance entry (callback fallback). */
+    std::function<const std::vector<Stream*>&()> stream_source_;
+    /** Streams passed at the last advance entry (callback fallback;
+     *  kept only when no stream source is installed). */
     std::vector<Stream*> entry_streams_;
     /** A host callback ran during the last promote pass. */
     bool callbacks_fired_ = false;

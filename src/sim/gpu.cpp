@@ -16,7 +16,8 @@ Gpu::Gpu(GpuConfig cfg, SimOptions opts)
     // Host callbacks may create streams and enqueue onto them
     // mid-run; the engine re-fetches the live stream set through this
     // hook so that work joins the run instead of being dropped.
-    engine_.set_stream_source([this] { return active_streams(); });
+    engine_.set_stream_source(
+        [this]() -> const std::vector<Stream*>& { return stream_list_; });
 }
 
 Gpu::Gpu(GpuConfig cfg, SimOptions opts, const FaultSpec& faults)
@@ -36,14 +37,17 @@ Gpu::create_stream()
 {
     streams_.push_back(
         std::make_unique<Stream>(static_cast<int>(streams_.size()) + 1));
+    stream_list_.push_back(streams_.back().get());
     return *streams_.back();
 }
 
 Stream&
 Gpu::default_stream()
 {
-    if (!default_stream_)
+    if (!default_stream_) {
         default_stream_ = std::make_unique<Stream>(0);
+        stream_list_.insert(stream_list_.begin(), default_stream_.get());
+    }
     return *default_stream_;
 }
 
@@ -76,40 +80,28 @@ Gpu::find_event(const std::string& name)
     return nullptr;
 }
 
-std::vector<Stream*>
-Gpu::active_streams()
-{
-    std::vector<Stream*> active;
-    active.reserve(streams_.size() + 1);
-    if (default_stream_)
-        active.push_back(default_stream_.get());
-    for (auto& s : streams_)
-        active.push_back(s.get());
-    return active;
-}
-
 EngineStats
 Gpu::run()
 {
-    return engine_.run(active_streams());
+    return engine_.run(stream_list_);
 }
 
-EngineStats
+RunProgress
 Gpu::run_until(uint64_t cycle)
 {
-    return engine_.run_until(active_streams(), cycle);
+    return engine_.run_until(stream_list_, cycle);
 }
 
-EngineStats
+RunProgress
 Gpu::synchronize(const Stream& stream)
 {
-    return engine_.synchronize(active_streams(), stream);
+    return engine_.synchronize(stream_list_, stream);
 }
 
-EngineStats
+RunProgress
 Gpu::synchronize(const Event& event)
 {
-    return engine_.synchronize(active_streams(), event);
+    return engine_.synchronize(stream_list_, event);
 }
 
 Snapshot
@@ -291,7 +283,7 @@ Gpu::restore(const Snapshot& snap)
     for (uint64_t i = 0; i < nstreams; ++i)
         load_stream();
 
-    engine_.load_state(r, snap.kernels, active_streams());
+    engine_.load_state(r, snap.kernels, stream_list_);
     r.tag(kTagEnd);
     if (!r.done())
         throw SnapshotError("trailing bytes after the end tag");

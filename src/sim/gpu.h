@@ -15,8 +15,9 @@
  *    DAGs across streams; Event::elapsed_cycles() times sub-windows.
  *  - Incremental runs: run_until(cycle) pauses a run at a cycle bound,
  *    synchronize(stream|event) drains one stream or waits for one
- *    event; the paused run resumes — and accepts newly enqueued work —
- *    on the next run()/run_until()/synchronize() call.
+ *    event; both return an O(1) RunProgress, and stats() builds the
+ *    statistics on demand.  The paused run resumes — and accepts newly
+ *    enqueued work — on the next run()/run_until()/synchronize() call.
  *  - launch(): single-kernel compatibility wrapper with the legacy
  *    semantics (cold caches, isolated timing), cycle-exact with the
  *    original lock-step simulator.
@@ -87,21 +88,26 @@ class Gpu
     EngineStats run();
 
     /** Advance the current run (beginning one if needed) while the
-     *  engine clock is <= @p cycle, then pause.  Returns progress so
-     *  far; the advance that drains everything returns the complete
-     *  run's statistics.  Work may be enqueued between advances, and
-     *  a bounded advance pauses early (instead of throwing) when the
-     *  run blocks on an event only host action can record. */
-    EngineStats run_until(uint64_t cycle);
+     *  engine clock is <= @p cycle, then pause.  Returns where the run
+     *  stands in O(1); stats() builds the statistics.  Work may be
+     *  enqueued between advances, and a bounded advance pauses early
+     *  (instead of throwing) when the run blocks on an event only host
+     *  action can record. */
+    RunProgress run_until(uint64_t cycle);
 
     /** Advance until @p stream has no queued work and no live launch
      *  (cudaStreamSynchronize). */
-    EngineStats synchronize(const Stream& stream);
+    RunProgress synchronize(const Stream& stream);
 
     /** Advance until @p event completes (cudaEventSynchronize).
      *  Throws EngineDeadlockError when every stream drains without
      *  the event completing. */
-    EngineStats synchronize(const Event& event);
+    RunProgress synchronize(const Event& event);
+
+    /** Statistics of the current run so far when one is paused, else
+     *  the final statistics of the last run that drained (empty before
+     *  any has).  Built on demand: O(kernels retired). */
+    EngineStats stats() const { return engine_.stats(); }
 
     /** A paused, resumable run is in progress. */
     bool run_active() const { return engine_.active(); }
@@ -186,9 +192,6 @@ class Gpu
     void restore(const Snapshot& snap);
 
   private:
-    /** All streams, default stream first (engine dispatch order). */
-    std::vector<Stream*> active_streams();
-
     GpuConfig cfg_;
     SimOptions opts_;
     /** Compiled fault plan (null = healthy chip).  Constructed before
@@ -200,6 +203,8 @@ class Gpu
     std::unique_ptr<Stream> default_stream_;
     /** Streams from create_stream(), ids 1.. */
     std::vector<std::unique_ptr<Stream>> streams_;
+    /** All streams, default stream first (engine dispatch order). */
+    std::vector<Stream*> stream_list_;
     /** Events from create_event(), stable addresses. */
     std::vector<std::unique_ptr<Event>> events_;
     /** The persistent engine: holds the active run's RunState. */

@@ -52,8 +52,10 @@ struct Snapshot
      *  kernels by index here; warp programs regenerate via trace(). */
     std::vector<KernelDesc> kernels;
 
-    /** Copy-on-write global memory image (contents + bump cursor).
-     *  Shared, immutable: every fork restores from the same bytes. */
+    /** Copy-on-write global memory image: the backed contents, which
+     *  may end below the bump cursor (the rest reads as zero), plus
+     *  the cursor.  Shared, immutable: every fork restores from the
+     *  same bytes. */
     std::shared_ptr<const std::vector<uint8_t>> gmem_data;
     uint64_t gmem_next = 0;
 

@@ -21,6 +21,7 @@
 #include <deque>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "sim/event.h"
 #include "sim/kernel_desc.h"
@@ -44,9 +45,9 @@ class Stream
      *  callers that move a descriptor pay no copy. */
     void enqueue(KernelDesc kernel)
     {
-        ops_.emplace_back();
-        ops_.back().kind = OpKind::kLaunch;
-        ops_.back().kernel = std::move(kernel);
+        Op& op = push();
+        op.kind = OpKind::kLaunch;
+        op.kernel = std::move(kernel);
     }
 
     /** Record @p event: it completes — and is stamped with the engine
@@ -57,9 +58,9 @@ class Stream
     {
         event.recorded_ = true;
         event.complete_ = false;
-        ops_.emplace_back();
-        ops_.back().kind = OpKind::kRecordEvent;
-        ops_.back().record = &event;
+        Op& op = push();
+        op.kind = OpKind::kRecordEvent;
+        op.record = &event;
     }
 
     /** Block all work enqueued on this stream after this call until
@@ -67,9 +68,9 @@ class Stream
      *  already recorded is a no-op by construction. */
     void wait(const Event& event)
     {
-        ops_.emplace_back();
-        ops_.back().kind = OpKind::kWaitEvent;
-        ops_.back().wait = &event;
+        Op& op = push();
+        op.kind = OpKind::kWaitEvent;
+        op.wait = &event;
     }
 
     /** Host-side hook: @p fn(cycle) is invoked (from the engine loop)
@@ -78,9 +79,9 @@ class Stream
      *  re-enter Gpu::run()/run_until()/synchronize(). */
     void add_callback(std::function<void(uint64_t)> fn)
     {
-        ops_.emplace_back();
-        ops_.back().kind = OpKind::kCallback;
-        ops_.back().callback = std::move(fn);
+        Op& op = push();
+        op.kind = OpKind::kCallback;
+        op.callback = std::move(fn);
     }
 
     /** Kernel launches not yet started by the engine. */
@@ -130,8 +131,22 @@ class Stream
         return op;
     }
 
+    /** Append a new op, waking the stream if a run has parked it. */
+    Op& push()
+    {
+        if (wake_list_ != nullptr) {
+            wake_list_->push_back(this);
+            wake_list_ = nullptr;
+        }
+        return ops_.emplace_back();
+    }
+
     int id_;
     std::deque<Op> ops_;
+    /** Set while an engine run has parked this stream (its queue ran
+     *  empty, so promotion stops visiting it): the next op appended
+     *  adds the stream to this list, and the run visits it again. */
+    std::vector<Stream*>* wake_list_ = nullptr;
 };
 
 }  // namespace tcsim

@@ -222,10 +222,10 @@ TEST(ParallelIdentity, ResumableRunMatchesOneShot)
     buf.c = gpu.mem().alloc(static_cast<uint64_t>(kc.m) * kc.n * 4);
     buf.d = gpu.mem().alloc(static_cast<uint64_t>(kc.m) * kc.n * 4);
     gpu.default_stream().enqueue(make_wmma_gemm_naive(kc, buf));
-    EngineStats es = gpu.run_until(base.cycles / 2);
+    RunProgress paused = gpu.run_until(base.cycles / 2);
+    EXPECT_TRUE(paused.active);
     EXPECT_TRUE(gpu.run_active());
-    es = gpu.run();
-    expect_identical(base, es);
+    expect_identical(base, gpu.run());
 }
 
 TEST(ParallelIdentity, AutoThreadCountRuns)

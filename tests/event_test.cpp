@@ -299,10 +299,11 @@ TEST(Resume, RunUntilThenResumeIsBitIdentical)
     Gpu chunked(small_titan_v(2));
     chunked.create_stream().enqueue(small_gemm(&chunked, &pa, "a"));
     chunked.create_stream().enqueue(small_gemm(&chunked, &pb, "b"));
-    EngineStats step1 = chunked.run_until(1000);
+    RunProgress step1 = chunked.run_until(1000);
     EXPECT_TRUE(chunked.run_active());
+    EXPECT_TRUE(step1.active);
     EXPECT_GT(step1.current_cycle, 1000u);
-    EngineStats step2 = chunked.run_until(5000);
+    RunProgress step2 = chunked.run_until(5000);
     EngineStats final = chunked.run();
     EXPECT_FALSE(chunked.run_active());
 
@@ -318,9 +319,9 @@ TEST(Resume, RunUntilThenResumeIsBitIdentical)
     }
     EXPECT_EQ(final.cycles, whole.cycles);
     EXPECT_EQ(final.instructions, whole.instructions);
-    // Progress snapshots are monotone prefixes of the final result.
-    EXPECT_LE(step1.kernels.size(), step2.kernels.size());
-    EXPECT_LE(step2.kernels.size(), final.kernels.size());
+    // Progress is monotone and bounded by the final result.
+    EXPECT_LE(step1.kernels_retired, step2.kernels_retired);
+    EXPECT_LE(step2.kernels_retired, final.kernels.size());
 }
 
 TEST(Resume, WorkEnqueuedBetweenAdvancesJoinsTheRun)
@@ -336,7 +337,7 @@ TEST(Resume, WorkEnqueuedBetweenAdvancesJoinsTheRun)
     cfg.m = cfg.n = cfg.k = 64;
     GemmBuffers buf = prob.upload(&gpu.mem());
     s.enqueue(make_wmma_gemm_naive(cfg, buf));
-    EngineStats mid = gpu.run_until(10);
+    RunProgress mid = gpu.run_until(10);
     ASSERT_TRUE(gpu.run_active());
 
     s.enqueue(make_wmma_gemm_naive(cfg, buf));  // same operands: warm
@@ -346,7 +347,7 @@ TEST(Resume, WorkEnqueuedBetweenAdvancesJoinsTheRun)
     EXPECT_LT(final.kernels[1].mem.l2_misses,
               final.kernels[0].mem.l2_misses);
     EXPECT_LE(final.kernels[1].cycles, final.kernels[0].cycles);
-    EXPECT_LE(mid.kernels.size(), 1u);
+    EXPECT_LE(mid.kernels_retired, 1u);
 }
 
 TEST(Resume, SynchronizeStreamDrainsOnlyThatStream)
@@ -357,11 +358,13 @@ TEST(Resume, SynchronizeStreamDrainsOnlyThatStream)
     fast.enqueue(stress("fast"));
     slow.enqueue(stress("slow", /*ctas=*/1, /*warps=*/4, /*wmma=*/128));
 
-    EngineStats at_sync = gpu.synchronize(fast);
+    RunProgress at_sync = gpu.synchronize(fast);
     EXPECT_TRUE(fast.empty());
     // The fast kernel retired; the slow one may still be in flight.
-    ASSERT_GE(at_sync.kernels.size(), 1u);
-    EXPECT_EQ(at_sync.kernels[0].kernel, "fast");
+    const EngineStats so_far = gpu.stats();
+    ASSERT_GE(so_far.kernels.size(), 1u);
+    EXPECT_EQ(so_far.kernels[0].kernel, "fast");
+    EXPECT_EQ(at_sync.kernels_retired, so_far.kernels.size());
 
     EngineStats final = gpu.run();
     ASSERT_EQ(final.kernels.size(), 2u);
@@ -377,8 +380,9 @@ TEST(Resume, SynchronizeIdleStreamIsNoop)
     Stream& idle = gpu.create_stream();
     busy.enqueue(stress("queued"));
 
-    EngineStats es = gpu.synchronize(idle);
-    EXPECT_TRUE(es.kernels.empty());
+    RunProgress p = gpu.synchronize(idle);
+    EXPECT_EQ(p.kernels_retired, 0u);
+    EXPECT_FALSE(p.active);
     EXPECT_FALSE(gpu.run_active());
     EXPECT_EQ(busy.depth(), 1u);  // Queued work untouched.
 
@@ -399,7 +403,7 @@ TEST(Resume, SynchronizeEventStopsAtCompletion)
     s1.enqueue(stress("second", /*ctas=*/1, /*warps=*/4, /*wmma=*/64));
     s2.enqueue(stress("other"));
 
-    EngineStats at_event = gpu.synchronize(e);
+    RunProgress at_event = gpu.synchronize(e);
     EXPECT_TRUE(e.complete());
     EXPECT_TRUE(gpu.run_active());
     EXPECT_GE(at_event.current_cycle, e.cycle());
@@ -418,9 +422,9 @@ TEST(Resume, RunUntilPausesOnHostResolvableWait)
     s.wait(e);
     s.enqueue(stress("gated"));
 
-    EngineStats paused = gpu.run_until(1000);
+    RunProgress paused = gpu.run_until(1000);
     EXPECT_TRUE(gpu.run_active());
-    EXPECT_TRUE(paused.kernels.empty());
+    EXPECT_EQ(paused.kernels_retired, 0u);
 
     // Host resolves the wait: record on an idle stream and resume
     // with the full-drain call (which would throw were it unresolved).
@@ -447,6 +451,187 @@ TEST(Resume, LaunchWhilePausedThrows)
     ASSERT_TRUE(gpu.run_active());
     EXPECT_THROW(gpu.launch(stress("solo")), std::runtime_error);
     gpu.run();  // Drain so the Gpu tears down cleanly.
+}
+
+/** Four kernels of different lengths on four streams. */
+void
+enqueue_staggered(Gpu* gpu)
+{
+    const char* names[] = {"w16", "w32", "w64", "w128"};
+    for (int i = 0; i < 4; ++i)
+        gpu->create_stream().enqueue(
+            stress(names[i], /*ctas=*/1, /*warps=*/2, /*wmma=*/16 << i));
+}
+
+TEST(Progress, PausedProgressMatchesStatsAndResumeIsBitIdentical)
+{
+    // Each bounded advance reports its progress in O(1); stats() builds
+    // the same run's statistics on demand, its retired kernels are a
+    // prefix of the one-shot result, and asking for them does not
+    // perturb the resumed run.
+    Gpu one(small_titan_v(2));
+    enqueue_staggered(&one);
+    const EngineStats whole = one.run();
+    ASSERT_EQ(whole.kernels.size(), 4u);
+
+    Gpu gpu(small_titan_v(2));
+    enqueue_staggered(&gpu);
+    uint64_t seen = 0;
+    for (uint64_t c = whole.cycles / 5; gpu.run_active() || seen == 0;
+         c += whole.cycles / 5) {
+        const RunProgress p = gpu.run_until(c);
+        const EngineStats s = gpu.stats();
+        EXPECT_EQ(p.active, gpu.run_active());
+        EXPECT_EQ(p.kernels_retired, s.kernels.size());
+        EXPECT_EQ(p.current_cycle, s.current_cycle);
+        EXPECT_GE(p.kernels_retired, seen);
+        seen = p.kernels_retired;
+        ASSERT_LE(s.kernels.size(), whole.kernels.size());
+        for (size_t i = 0; i < s.kernels.size(); ++i) {
+            EXPECT_EQ(s.kernels[i].kernel, whole.kernels[i].kernel);
+            EXPECT_EQ(s.kernels[i].finish_cycle,
+                      whole.kernels[i].finish_cycle);
+        }
+    }
+    const EngineStats final = gpu.stats();
+    ASSERT_EQ(final.kernels.size(), whole.kernels.size());
+    for (size_t i = 0; i < whole.kernels.size(); ++i) {
+        EXPECT_EQ(final.kernels[i].kernel, whole.kernels[i].kernel);
+        EXPECT_EQ(final.kernels[i].start_cycle, whole.kernels[i].start_cycle);
+        EXPECT_EQ(final.kernels[i].finish_cycle,
+                  whole.kernels[i].finish_cycle);
+        EXPECT_EQ(final.kernels[i].instructions,
+                  whole.kernels[i].instructions);
+    }
+    EXPECT_EQ(final.cycles, whole.cycles);
+    EXPECT_EQ(final.instructions, whole.instructions);
+    EXPECT_EQ(final.ticks + final.skipped_cycles,
+              whole.ticks + whole.skipped_cycles);
+}
+
+TEST(Progress, DrainingSynchronizeKeepsFinalStats)
+{
+    // A synchronize that drains the run hands back only its progress;
+    // stats() then returns that run's final statistics — the ones run()
+    // would have returned — until the next run begins.
+    Gpu ref(small_titan_v(2));
+    ref.default_stream().enqueue(stress("a"));
+    ref.default_stream().enqueue(stress("b"));
+    const EngineStats want = ref.run();
+    EXPECT_EQ(ref.stats().cycles, want.cycles);  // run() keeps them too.
+
+    Gpu gpu(small_titan_v(2));
+    EXPECT_TRUE(gpu.stats().kernels.empty());  // No run yet.
+    Stream& s = gpu.default_stream();
+    s.enqueue(stress("a"));
+    s.enqueue(stress("b"));
+    const RunProgress p = gpu.synchronize(s);
+    EXPECT_FALSE(p.active);
+    EXPECT_FALSE(gpu.run_active());
+    EXPECT_EQ(p.kernels_retired, 2u);
+
+    const EngineStats got = gpu.stats();
+    EXPECT_EQ(p.current_cycle, got.current_cycle);
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.ticks, want.ticks);
+    EXPECT_EQ(got.skipped_cycles, want.skipped_cycles);
+    ASSERT_EQ(got.kernels.size(), want.kernels.size());
+    for (size_t i = 0; i < want.kernels.size(); ++i) {
+        EXPECT_EQ(got.kernels[i].kernel, want.kernels[i].kernel);
+        EXPECT_EQ(got.kernels[i].finish_cycle, want.kernels[i].finish_cycle);
+    }
+
+    // The next run releases them: stats() follows the new run.
+    s.enqueue(stress("c"));
+    gpu.run_until(0);
+    ASSERT_TRUE(gpu.run_active());
+    EXPECT_TRUE(gpu.stats().kernels.empty());
+    EXPECT_EQ(gpu.run().kernels.size(), 1u);
+}
+
+TEST(Progress, CallbackWakesParkedStreamsInScanOrder)
+{
+    // A stream whose queue ran empty is parked (promotion stops
+    // visiting it).  A callback appending to parked streams wakes them
+    // in the order a scan of every stream would reach them: a woken
+    // stream after the callback's joins the same promotion pass, one
+    // before it the next pass, both on the callback's cycle.  Each
+    // kernel fills the single SM, so kernels run in promotion order.
+    const GpuConfig cfg = small_titan_v(1);
+    auto whole_sm = [&cfg](const char* name) {
+        KernelDesc k = stress(name);
+        k.shared_mem_bytes = cfg.shared_mem_per_sm;
+        return k;
+    };
+    Gpu gpu(cfg);
+    Stream& before = gpu.create_stream();
+    Stream& host = gpu.create_stream();
+    Stream& after = gpu.create_stream();
+    Stream& other = gpu.create_stream();
+    Event& gate_done = gpu.create_event("gate_done");
+    before.enqueue(whole_sm("early"));
+    host.enqueue(whole_sm("gate"));
+    host.record(gate_done);
+    uint64_t fired = 0;
+    host.add_callback([&](uint64_t cycle) {
+        fired = cycle;
+        before.enqueue(whole_sm("late_before"));
+        after.enqueue(whole_sm("late_after"));
+    });
+    other.wait(gate_done);
+    other.enqueue(whole_sm("other"));
+    const EngineStats es = gpu.run();
+
+    const std::vector<std::string> order = {"early", "gate", "late_after",
+                                            "other", "late_before"};
+    ASSERT_EQ(es.kernels.size(), order.size());
+    for (size_t i = 0; i < order.size(); ++i) {
+        EXPECT_EQ(es.kernels[i].kernel, order[i]);
+        if (i >= 2) {
+            EXPECT_EQ(es.kernels[i].start_cycle, fired) << order[i];
+        }
+    }
+}
+
+TEST(Progress, CallbackStreamsKeepCreationOrder)
+{
+    // A host callback creates many streams at once: they join the run in
+    // creation order, so their launches promote and dispatch in
+    // stream-id order.  Each leaf claims the single SM's whole shared
+    // memory, so leaves run one at a time and retire in dispatch order,
+    // whether the run goes in one shot or in chunks.
+    constexpr int kStreams = 500;
+    const GpuConfig cfg = small_titan_v(1);
+    auto build = [&cfg](Gpu* gpu) {
+        Stream& head = gpu->default_stream();
+        head.enqueue(stress("head"));
+        head.add_callback([gpu, &cfg](uint64_t) {
+            for (int i = 0; i < kStreams; ++i) {
+                KernelDesc leaf = stress("leaf");
+                leaf.shared_mem_bytes = cfg.shared_mem_per_sm;
+                gpu->create_stream().enqueue(std::move(leaf));
+            }
+        });
+    };
+    Gpu one(cfg);
+    build(&one);
+    const EngineStats whole = one.run();
+
+    Gpu chunked(cfg);
+    build(&chunked);
+    for (uint64_t c = 0; chunked.run_active() || c == 0; c += 5000)
+        chunked.run_until(c);
+    const EngineStats got = chunked.stats();
+
+    for (const EngineStats* es : {&whole, &got}) {
+        ASSERT_EQ(es->kernels.size(), size_t{kStreams} + 1);
+        EXPECT_EQ(es->kernels[0].stream, 0);
+        for (int i = 1; i <= kStreams; ++i)
+            EXPECT_EQ(es->kernels[static_cast<size_t>(i)].stream, i);
+    }
+    for (size_t i = 0; i < whole.kernels.size(); ++i)
+        EXPECT_EQ(got.kernels[i].finish_cycle, whole.kernels[i].finish_cycle);
 }
 
 TEST(Stalls, PerKernelAttributionFilledInMultiKernelRuns)

@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "sim/mem/cache.h"
 #include "sim/mem/coalescer.h"
 #include "sim/mem/dram.h"
@@ -326,6 +329,60 @@ TEST(GlobalMemory, ReadWriteRoundTrip)
     uint64_t a = g.alloc(64);
     g.write_u32(a + 8, 42);
     EXPECT_EQ(g.read_u32(a + 8), 42u);
+}
+
+TEST(GlobalMemory, AllocBacksNoBytes)
+{
+    // Allocation moves the cursor only; a write backs the store up to
+    // the end of the written range, not the end of the allocation.
+    GlobalMemory g;
+    uint64_t a = g.alloc(1 << 20);
+    uint64_t b = g.alloc(1 << 20);
+    EXPECT_GE(g.footprint(), b + (1 << 20));
+    EXPECT_EQ(g.backed(), 0u);
+    g.write_u32(a + 16, 7);
+    EXPECT_EQ(g.backed(), a + 20);
+}
+
+TEST(GlobalMemory, NeverWrittenReadsZero)
+{
+    GlobalMemory g;
+    uint64_t a = g.alloc(4096);
+    std::vector<uint8_t> buf(4096, 0xAB);
+    g.read(a, buf.data(), buf.size());
+    EXPECT_EQ(std::count(buf.begin(), buf.end(), uint8_t{0}), 4096);
+    EXPECT_EQ(g.backed(), 0u);  // Reading backs nothing.
+}
+
+TEST(GlobalMemory, ReadStraddlingBackedEnd)
+{
+    // A read that starts in the backed range and ends past it returns
+    // the written bytes followed by zeros.
+    GlobalMemory g;
+    uint64_t a = g.alloc(64);
+    const uint32_t words[2] = {0x11111111u, 0x22222222u};
+    g.write(a, words, sizeof(words));
+    ASSERT_EQ(g.backed(), a + 8);
+    uint32_t out[4] = {9, 9, 9, 9};
+    g.read(a, out, sizeof(out));
+    EXPECT_EQ(out[0], 0x11111111u);
+    EXPECT_EQ(out[1], 0x22222222u);
+    EXPECT_EQ(out[2], 0u);
+    EXPECT_EQ(out[3], 0u);
+    uint32_t mid[2] = {9, 9};
+    g.read(a + 4, mid, sizeof(mid));
+    EXPECT_EQ(mid[0], 0x22222222u);
+    EXPECT_EQ(mid[1], 0u);
+}
+
+TEST(GlobalMemoryDeathTest, AccessPastCursorFails)
+{
+    GlobalMemory g;
+    uint64_t a = g.alloc(64);
+    uint32_t v = 0;
+    EXPECT_DEATH(g.read(a + 62, &v, 4), "check failed");
+    EXPECT_DEATH(g.write(a + 64, &v, 4), "check failed");
+    EXPECT_DEATH(g.raw(a, 65), "check failed");
 }
 
 TEST(MemorySystem, L1HitFasterThanMiss)

@@ -383,6 +383,19 @@ TEST(Serving, BitIdenticalAcrossSimThreads)
               par.report.latency.latency_p99);
 }
 
+TEST(Serving, TimingOnlyTraceBacksNoMemory)
+{
+    // Serving allocates A/B/C/D for every kernel but never writes them:
+    // the allocations move the cursor only, so the run backs no host
+    // bytes however long the trace (a count guard on peak RSS).
+    ContinuousBatcher policy(2, 2);
+    ServingResult r = run_serving(small_gpu(), serial_sim(), tiny_mlp(),
+                                  poisson_trace(7, 8, 20000.0), policy);
+    EXPECT_EQ(r.report.completed, 8);
+    EXPECT_GT(r.gmem_footprint, 0u);
+    EXPECT_EQ(r.gmem_backed, 0u);
+}
+
 TEST(Serving, WedgeErrorCarriesLoopStateSnapshot)
 {
     // The wedge diagnostic must say what the loop was looking at:

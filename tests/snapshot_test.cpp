@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "kernels/gemm_kernels.h"
 #include "sim/gpu.h"
@@ -237,6 +238,49 @@ TEST(Snapshot, DoubleRestoreFromOneSnapshot)
     fork2.restore(copy);
     expect_identical(base, fork1.run());
     expect_identical(base, fork2.run());
+}
+
+TEST(Snapshot, CursorPastBackingRoundTrips)
+{
+    // Timing-only operands move the allocation cursor without backing
+    // bytes, so the snapshot carries a cursor past the end of its byte
+    // image.  A restored Gpu reads, allocates and runs exactly like
+    // the original.
+    GpuConfig cfg = mem_bound_config(4);
+    SimOptions opts;
+    auto setup = [](Gpu& gpu) {
+        const uint64_t tag = gpu.mem().alloc(256);
+        gpu.mem().write_u32(tag + 4, 0xC0FFEEu);
+        enqueue_gemm(gpu, 64);  // Allocates its operands, writes none.
+        return tag;
+    };
+    Gpu cold(cfg, opts);
+    setup(cold);
+    const EngineStats base = cold.run();
+
+    Gpu gpu(cfg, opts);
+    const uint64_t tag = setup(gpu);
+    gpu.run_until(base.cycles / 2);
+    ASSERT_TRUE(gpu.run_active());
+    Snapshot snap = gpu.snapshot();
+    const uint64_t footprint = gpu.mem().footprint();
+    ASSERT_LT(gpu.mem().backed(), footprint);
+    EXPECT_EQ(snap.gmem_next, footprint);
+    EXPECT_EQ(snap.gmem_data->size(), gpu.mem().backed());
+
+    Gpu fork(cfg, opts);
+    fork.restore(snap);
+    EXPECT_EQ(fork.mem().footprint(), footprint);
+    EXPECT_EQ(fork.mem().backed(), gpu.mem().backed());
+    std::vector<uint8_t> want(footprint), got(footprint);
+    gpu.mem().read(0, want.data(), want.size());
+    fork.mem().read(0, got.data(), got.size());
+    EXPECT_EQ(got, want);
+    EXPECT_EQ(fork.mem().read_u32(tag + 4), 0xC0FFEEu);
+    EXPECT_EQ(fork.mem().alloc(64), gpu.mem().alloc(64));
+
+    expect_identical(base, gpu.run());
+    expect_identical(base, fork.run());
 }
 
 TEST(Snapshot, InPlaceRewindAcrossEventBoundary)
