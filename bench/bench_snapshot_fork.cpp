@@ -85,8 +85,7 @@ run_leg(const driver::Scenario& sc, bool cold)
 {
     Leg leg;
     bench::Timer t;
-    leg.results = driver::run_sweep(sc, /*jobs=*/1, /*sim_threads=*/-1,
-                                    /*detailed_sms=*/-1, cold);
+    leg.results = driver::run_sweep(sc, /*jobs=*/1, /*sim_threads=*/-1, cold);
     leg.wall_ms = t.ms();
     return leg;
 }

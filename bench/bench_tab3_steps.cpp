@@ -26,7 +26,7 @@ a_subtile_letter(int tg, int set)
 }
 
 char
-b_subtile_letter(int tg, int set, int step, TcMode mode)
+b_subtile_letter(int set, int step, TcMode mode)
 {
     bool own = mode == TcMode::kMixed ? step < 2 : step < 1;
     // Steps 0-1 use the lower threadgroup's stripe (A..D), steps 2-3
@@ -53,11 +53,11 @@ main()
             std::snprintf(c0, sizeof(c0), "%c[%d:%d] x %c",
                           a_subtile_letter(0, set), 2 * rowpair,
                           2 * rowpair + 1,
-                          b_subtile_letter(0, set, step, TcMode::kMixed));
+                          b_subtile_letter(set, step, TcMode::kMixed));
             std::snprintf(c4, sizeof(c4), "%c[%d:%d] x %c",
                           a_subtile_letter(4, set), 2 * rowpair,
                           2 * rowpair + 1,
-                          b_subtile_letter(4, set, step, TcMode::kMixed));
+                          b_subtile_letter(set, step, TcMode::kMixed));
             std::snprintf(drows, sizeof(drows), "[%d:%d]", sc0.cd.row0,
                           sc0.cd.row1);
             std::snprintf(bcols, sizeof(bcols), "[%d:%d]", sc0.b.col0,

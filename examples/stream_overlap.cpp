@@ -39,7 +39,7 @@ struct Workload
     {
     }
 
-    KernelDesc kernel(Gpu* gpu)
+    KernelDesc kernel() const
     {
         GemmKernelConfig cfg;
         cfg.m = m;
@@ -81,7 +81,7 @@ run_schedule(bool overlapped, double* total_flops)
         w.buf = w.prob.upload(&gpu.mem());
         *total_flops += w.flops;
         Stream& s = overlapped ? gpu.create_stream() : gpu.default_stream();
-        s.enqueue(w.kernel(&gpu));
+        s.enqueue(w.kernel());
     }
     return gpu.run();
 }

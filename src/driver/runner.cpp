@@ -624,8 +624,7 @@ evaluate(const ScenarioResult& r, const Expectation& e)
 
 ScenarioResult
 run_scenario(const Scenario& scenario, int sim_threads_override,
-             int detailed_sms_override, const ReplayOverride& replay,
-             uint64_t wall_budget_ms)
+             const ReplayOverride& replay, uint64_t wall_budget_ms)
 {
     using clock = std::chrono::steady_clock;
     ScenarioResult result;
@@ -634,8 +633,6 @@ run_scenario(const Scenario& scenario, int sim_threads_override,
     SimOptions sim = scenario.sim;
     if (sim_threads_override >= 0)
         sim.sim_threads = sim_threads_override;
-    if (detailed_sms_override >= 0)
-        sim.detailed_sms = detailed_sms_override;
     if (wall_budget_ms > 0)
         sim.wall_budget_ms = wall_budget_ms;
     if (replay.mode >= 0)
@@ -824,8 +821,7 @@ run_forked_point(const Scenario& sc, size_t index, const GpuConfig& cfg,
 
 std::vector<ScenarioResult>
 run_sweep(const Scenario& scenario, int jobs, int sim_threads_override,
-          int detailed_sms_override, bool cold_sweep,
-          const ReplayOverride& replay)
+          bool cold_sweep, const ReplayOverride& replay)
 {
     const size_t npts = scenario.sweep.points.size();
     std::vector<ScenarioResult> out(npts);
@@ -851,8 +847,6 @@ run_sweep(const Scenario& scenario, int jobs, int sim_threads_override,
     SimOptions sim = scenario.sim;
     if (sim_threads_override >= 0)
         sim.sim_threads = sim_threads_override;
-    if (detailed_sms_override >= 0)
-        sim.detailed_sms = detailed_sms_override;
     if (replay.mode >= 0)
         sim.replay_mode = static_cast<SimOptions::ReplayMode>(replay.mode);
     // Sweeps never share a cache across points: each engine owns a
@@ -1056,11 +1050,10 @@ run_batch(const std::vector<Scenario>& scenarios, const BatchOptions& opts)
         }
         if (sc.is_sweep())
             slots[i] = run_sweep(sc, point_jobs, sim_threads,
-                                 opts.detailed_sms, opts.cold_sweep,
-                                 opts.replay);
+                                 opts.cold_sweep, opts.replay);
         else
-            slots[i] = {run_scenario(sc, sim_threads, opts.detailed_sms,
-                                     opts.replay, opts.timeout_ms)};
+            slots[i] = {run_scenario(sc, sim_threads, opts.replay,
+                                     opts.timeout_ms)};
         if (fail_fast)
             for (const ScenarioResult& r : slots[i])
                 if (!r.passed)
@@ -1099,15 +1092,6 @@ run_batch(const std::vector<Scenario>& scenarios, const BatchOptions& opts)
     report.wall_ms =
         std::chrono::duration<double, std::milli>(clock::now() - t0).count();
     return report;
-}
-
-BatchReport
-run_batch(const std::vector<Scenario>& scenarios, int jobs, bool fail_fast)
-{
-    BatchOptions opts;
-    opts.jobs = jobs;
-    opts.fail_fast = fail_fast;
-    return run_batch(scenarios, opts);
 }
 
 JsonValue

@@ -125,15 +125,12 @@ struct ReplayOverride
  *  ScenarioResult::error).  @p sim_threads_override replaces the
  *  scenario's sim.sim_threads when >= 0 (the simrunner --sim-threads
  *  flag and the CI serial-vs-threaded identity legs);
- *  @p detailed_sms_override likewise replaces sim.detailed_sms (the
- *  --detailed-sms flag and the CI sampled-error leg);
  *  @p wall_budget_ms > 0 arms the engine wall-clock watchdog (the
  *  --timeout-ms flag): a scenario stuck past the budget dies with a
  *  SimHangError diagnostic in its error row while the rest of the
  *  batch completes. */
 ScenarioResult run_scenario(const Scenario& scenario,
                             int sim_threads_override = -1,
-                            int detailed_sms_override = -1,
                             const ReplayOverride& replay = {},
                             uint64_t wall_budget_ms = 0);
 
@@ -151,7 +148,6 @@ ScenarioResult run_scenario(const Scenario& scenario,
  */
 std::vector<ScenarioResult> run_sweep(const Scenario& scenario, int jobs = 1,
                                       int sim_threads_override = -1,
-                                      int detailed_sms_override = -1,
                                       bool cold_sweep = false,
                                       const ReplayOverride& replay = {});
 
@@ -187,11 +183,8 @@ struct BatchOptions
     /** Run sweep points cold (prefix+point from cycle 0) instead of
      *  forking the prefix snapshot — the fork-identity reference. */
     bool cold_sweep = false;
-    /** Override every scenario's sim.detailed_sms (-1 = keep the
-     *  per-scenario setting). */
-    int detailed_sms = -1;
     /** Replay-cache mode override + batch-shared profile store. */
-    ReplayOverride replay;
+    ReplayOverride replay = {};
     /** Per-scenario wall-clock watchdog in milliseconds (0 = none):
      *  a hung or runaway scenario is cut short with a structured
      *  error row instead of stalling the whole batch. */
@@ -215,10 +208,6 @@ int effective_jobs(const BatchOptions& opts,
  */
 BatchReport run_batch(const std::vector<Scenario>& scenarios,
                       const BatchOptions& opts);
-
-/** Legacy signature: jobs + fail_fast only. */
-BatchReport run_batch(const std::vector<Scenario>& scenarios, int jobs,
-                      bool fail_fast = false);
 
 /** The batch report as JSON (schema "tcsim-batch-report-v1"). */
 JsonValue report_to_json(const BatchReport& report);

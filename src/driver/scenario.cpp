@@ -1097,8 +1097,8 @@ parse_scenario(const JsonValue& doc, const std::string& file)
     if (const JsonValue* sim = doc.find("sim")) {
         check_keys(*sim,
                    {"scheduler", "max_cycles", "sim_threads", "idle_skip",
-                    "min_sms", "detailed_sms", "sample_window", "replay",
-                    "replay_verify_every", "replay_verify_bound"},
+                    "min_sms", "replay", "replay_verify_every",
+                    "replay_verify_bound"},
                    "sim", file);
         sc.sim.scheduler =
             parse_scheduler(get_string(*sim, "scheduler", "gto"), file);
@@ -1123,19 +1123,6 @@ parse_scenario(const JsonValue& doc, const std::string& file)
                 fail(file, "sim.min_sms must be >= 0");
             sc.sim.min_sms = static_cast<int>(s);
         }
-        if (const JsonValue* v = sim->find("detailed_sms")) {
-            int64_t s = v->as_int();
-            if (s < 0)
-                fail(file, "sim.detailed_sms must be >= 0 (0 = every SM "
-                           "detailed)");
-            sc.sim.detailed_sms = static_cast<int>(s);
-        }
-        if (const JsonValue* v = sim->find("sample_window")) {
-            int64_t w = v->as_int();
-            if (w < 1)
-                fail(file, "sim.sample_window must be >= 1");
-            sc.sim.sample_window = static_cast<uint64_t>(w);
-        }
         if (const JsonValue* v = sim->find("replay")) {
             const std::string mode = v->as_string();
             if (mode == "off")
@@ -1149,11 +1136,6 @@ parse_scenario(const JsonValue& doc, const std::string& file)
             else
                 fail(file, "sim.replay must be \"off\", \"record\", "
                            "\"replay\" or \"verify\"");
-            if (sc.sim.replay_mode != SimOptions::ReplayMode::kOff &&
-                sc.sim.detailed_sms > 0)
-                fail(file, "sim.replay and sim.detailed_sms are mutually "
-                           "exclusive (sampled profiles would poison the "
-                           "replay cache)");
         }
         if (const JsonValue* v = sim->find("replay_verify_every")) {
             int64_t n = v->as_int();
@@ -1179,10 +1161,6 @@ parse_scenario(const JsonValue& doc, const std::string& file)
         if (sc.sim.replay_mode != SimOptions::ReplayMode::kOff)
             fail(file, "\"faults\" and sim.replay are mutually exclusive "
                        "(fault timing would poison the replay cache)");
-        if (sc.sim.detailed_sms > 0)
-            fail(file, "\"faults\" and sim.detailed_sms are mutually "
-                       "exclusive (sampled-SM scaling assumes homogeneous "
-                       "SMs)");
         sc.faults = parse_fault_spec(*faults, file);
     }
 

@@ -21,9 +21,6 @@
  *                                    // results are thread-invariant
  *             "idle_skip": true,     // false = lockstep main loop
  *             "min_sms": 0,          // floor on the SM-array size
- *             "detailed_sms": 0,     // sampled-SM fast-forward (see
- *                                    // SimOptions::detailed_sms)
- *             "sample_window": 4096,
  *             "replay": "off" | "record" | "replay" | "verify",
  *                                    // kernel-timing replay cache (see
  *                                    // SimOptions::replay_mode)
@@ -148,8 +145,8 @@
  * fault.{disabled_sms,degraded_sms,slowdowns,slowdown_extra_cycles,
  * hangs,ecc_retries,ecc_extra_cycles} (see sim/fault/fault_plan.h).
  * "faults" composes with the kernel, declarative, model and serving
- * forms, but is rejected alongside "sweep", sim.replay and
- * sim.detailed_sms (those paths assume a healthy chip).
+ * forms, but is rejected alongside "sweep" and sim.replay (those
+ * paths assume a healthy chip).
  *
  * The "gpu" object also accepts the memory-hierarchy knobs
  * l1_mshr_entries, l2_banks, l2_bank_bytes_per_cycle,

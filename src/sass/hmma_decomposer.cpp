@@ -158,7 +158,7 @@ wmma_fragment_regs(Arch arch, TcMode mode, TileShape shape)
     const int b_elems = shape.k * shape.n * dup / kWarpSize;
     const int cd_elems = shape.m * shape.n / kWarpSize;
 
-    int ab_pack;  // operand elements per 32-bit register
+    int ab_pack = 2;  // operand elements per 32-bit register
     switch (mode) {
       case TcMode::kFp16:
       case TcMode::kMixed: ab_pack = 2; break;

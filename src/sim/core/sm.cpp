@@ -94,7 +94,7 @@ SM::can_accept(const KernelDesc& k) const
 }
 
 void
-SM::launch_cta(GridRun* grid, int cta_id, uint64_t now)
+SM::launch_cta(GridRun* grid, int cta_id)
 {
     const KernelDesc& k = *grid->kernel;
     size_t slot = 0;
@@ -108,7 +108,6 @@ SM::launch_cta(GridRun* grid, int cta_id, uint64_t now)
     cta.cta_id = cta_id;
     cta.live_warps = k.warps_per_cta;
     cta.barrier_arrived = 0;
-    cta.start_cycle = now;
     cta.shared = k.shared_mem_bytes
                      ? std::make_unique<SharedMemoryStorage>(
                            k.shared_mem_bytes)
@@ -170,16 +169,16 @@ SM::tick_compute(uint64_t now)
 }
 
 void
-SM::commit_tick(std::vector<CtaCompletion>* completions)
+SM::commit_tick(std::vector<GridRun*>* completions)
 {
     for (const StagedMemOp& op : staged_mem_)
         functional_global_access(*op.warp, *op.inst, op.iter);
     staged_mem_.clear();
-    for (const CtaCompletion& done : staged_cta_done_) {
-        if (++done.grid->ctas_done == done.grid->kernel->grid_ctas)
-            done.grid->finish_cycle = now_;
+    for (GridRun* grid : staged_cta_done_) {
+        if (++grid->ctas_done == grid->kernel->grid_ctas)
+            grid->finish_cycle = now_;
         if (completions)
-            completions->push_back(done);
+            completions->push_back(grid);
     }
     staged_cta_done_.clear();
 }
@@ -244,7 +243,7 @@ SM::mio_push(int subcore, int warp_slot, const Instruction* inst, int iter)
             return mio_block_reason_;
         return StallReason::kMioFull;
     }
-    queue.push_back(MioEntry{subcore, warp_slot, inst, iter});
+    queue.push_back(MioEntry{subcore, warp_slot, inst, iter, {}});
     return StallReason::kNone;
 }
 
@@ -351,7 +350,6 @@ SM::warp_finished(int cta_slot)
     ++ctas_completed_;
     GridRun* grid = cta.grid;
     const KernelDesc& k = *grid->kernel;
-    uint64_t latency = now_ - cta.start_cycle;
     --used_ctas_;
     used_warps_ -= k.warps_per_cta;
     used_smem_ -= k.shared_mem_bytes;
@@ -362,7 +360,7 @@ SM::warp_finished(int cta_slot)
 
     // ctas_done / finish_cycle are shared by every SM hosting this
     // grid: the increment applies at commit_tick, in SM-index order.
-    staged_cta_done_.push_back(CtaCompletion{grid, latency});
+    staged_cta_done_.push_back(grid);
 }
 
 void
@@ -578,7 +576,6 @@ SM::save_state(SnapshotWriter& w, const std::vector<GridRun*>& grids) const
         w.i32(cta.cta_id);
         w.i32(cta.live_warps);
         w.i32(cta.barrier_arrived);
-        w.u64(cta.start_cycle);
         w.b(cta.shared != nullptr);
         if (cta.shared) {
             uint32_t bytes = cta.shared->size();
@@ -659,7 +656,6 @@ SM::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
             cta.cta_id = -1;
             cta.live_warps = 0;
             cta.barrier_arrived = 0;
-            cta.start_cycle = 0;
             cta.shared.reset();
             continue;
         }
@@ -670,7 +666,6 @@ SM::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
         cta.cta_id = r.i32();
         cta.live_warps = r.i32();
         cta.barrier_arrived = r.i32();
-        cta.start_cycle = r.u64();
         if (r.b()) {
             uint32_t bytes = r.u32();
             cta.shared = std::make_unique<SharedMemoryStorage>(bytes);

@@ -46,13 +46,6 @@ class ExecutorCache
     std::map<uint64_t, std::unique_ptr<HmmaExecutor>> cache_;
 };
 
-/** One CTA that finished this tick (sampled-mode latency sampling). */
-struct CtaCompletion
-{
-    GridRun* grid;
-    uint64_t latency;  ///< Completion cycle minus dispatch cycle.
-};
-
 /** One streaming multiprocessor. */
 class SM
 {
@@ -95,9 +88,9 @@ class SM
     void tick_compute(uint64_t now);
 
     /** Phase C: apply this tick's staged side effects.  When
-     *  @p completions is non-null (sampled mode), each CTA that
-     *  completed this tick is appended with its measured latency. */
-    void commit_tick(std::vector<CtaCompletion>* completions = nullptr);
+     *  @p completions is non-null (replay recording), the grid of
+     *  each CTA that completed this tick is appended. */
+    void commit_tick(std::vector<GridRun*>* completions = nullptr);
 
     /** True while CTAs are resident or traffic is in flight. */
     bool busy() const;
@@ -115,10 +108,10 @@ class SM
     /** True if a CTA of @p k fits the SM's currently free resources. */
     bool can_accept(const KernelDesc& k) const;
 
-    /** Place CTA @p cta_id of @p grid on this SM at cycle @p now.  The
-     *  caller must have checked can_accept(); at most one CTA per SM
-     *  per cycle (hardware rasterizer pacing). */
-    void launch_cta(GridRun* grid, int cta_id, uint64_t now = 0);
+    /** Place CTA @p cta_id of @p grid on this SM.  The caller must
+     *  have checked can_accept(); at most one CTA per SM per cycle
+     *  (hardware rasterizer pacing). */
+    void launch_cta(GridRun* grid, int cta_id);
 
     /** True if a CTA of @p k fits an empty SM of @p cfg.  The single
      *  source of truth for launchability — the scenario driver
@@ -317,10 +310,10 @@ class SM
         int iter;
     };
     std::vector<StagedMemOp> staged_mem_;
-    /** Grids whose CTAs completed this tick, with the CTA's measured
-     *  latency (ctas_done / finish_cycle are grid-shared, so the
-     *  increments apply at commit). */
-    std::vector<CtaCompletion> staged_cta_done_;
+    /** Grids whose CTAs completed this tick (ctas_done /
+     *  finish_cycle are grid-shared, so the increments apply at
+     *  commit). */
+    std::vector<GridRun*> staged_cta_done_;
 
     /** Tick-end caches consumed by the engine (see tick_compute). */
     bool busy_cache_ = false;

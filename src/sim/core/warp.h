@@ -69,7 +69,6 @@ struct CtaSlot
     int cta_id = -1;
     int live_warps = 0;      ///< Warps not yet finished.
     int barrier_arrived = 0;
-    uint64_t start_cycle = 0;  ///< Dispatch cycle (sampled-mode latency).
     std::unique_ptr<SharedMemoryStorage> shared;
 };
 

@@ -22,11 +22,6 @@ ExecutionEngine::ExecutionEngine(const GpuConfig& cfg, const SimOptions& opts,
                                      : hardware_threads();
     config_hash_ = hash_config(cfg_);
     if (opts_.replay_mode != SimOptions::ReplayMode::kOff) {
-        if (opts_.detailed_sms > 0)
-            throw std::runtime_error(
-                "replay_mode and detailed_sms are mutually exclusive: "
-                "sampled (extrapolated) executions would poison the "
-                "replay cache with approximate profiles");
         replay_cache_ = opts_.replay_cache;
         if (!replay_cache_) {
             owned_cache_ = std::make_unique<ReplayCache>();
@@ -151,11 +146,6 @@ ExecutionEngine::validate_and_size()
             TCSIM_CHECK(k.grid_ctas > 0);
             TCSIM_CHECK(k.trace != nullptr);
             SM::check_fits(cfg_, k);
-            if (opts_.detailed_sms > 0 && k.functional)
-                throw std::runtime_error(detail::format(
-                    "sampled mode (detailed_sms=%d) requires "
-                    "functional=false kernels; \"%s\" is functional",
-                    opts_.detailed_sms, k.name.c_str()));
             total_ctas += static_cast<uint64_t>(k.grid_ctas);
         }
     }
@@ -171,13 +161,7 @@ ExecutionEngine::validate_and_size()
         cfg_.num_sms,
         std::max<uint64_t>(static_cast<uint64_t>(std::max(opts_.min_sms, 0)),
                            std::max<uint64_t>(1, total_ctas))));
-    // Sampled mode: cap the detailed array and give the remainder of
-    // the wanted size to occupancy-only shadow SMs.
-    size_t detailed = want;
-    if (opts_.detailed_sms > 0)
-        detailed = std::min<size_t>(
-            want, static_cast<size_t>(opts_.detailed_sms));
-    while (run_->sms.size() < detailed) {
+    while (run_->sms.size() < want) {
         const int id = static_cast<int>(run_->sms.size());
         auto sm = std::make_unique<SM>(id, cfg_, mem_, executors_,
                                        opts_.scheduler);
@@ -186,9 +170,6 @@ ExecutionEngine::validate_and_size()
                 sm->set_warp_cap(cap);
         run_->sms.push_back(std::move(sm));
     }
-    if (opts_.detailed_sms > 0 && want > run_->sms.size() &&
-        run_->shadows.size() < want - run_->sms.size())
-        run_->shadows.resize(want - run_->sms.size());
     // Every resident grid needs a stats shard per SM (growth can
     // happen mid-run when work is enqueued between advances).
     for (const auto& l : run_->resident)
@@ -300,7 +281,7 @@ ExecutionEngine::dispatch_to(SM* sm)
     // (hardware rasterizer pacing, matching the legacy distribution).
     for (auto& l : run_->resident) {
         if (l->grid.pending() && sm->can_accept(*l->grid.kernel)) {
-            sm->launch_cta(&l->grid, l->grid.next_cta++, run_->now);
+            sm->launch_cta(&l->grid, l->grid.next_cta++);
             return true;
         }
     }
@@ -389,9 +370,9 @@ void
 ExecutionEngine::record_occupancy(uint64_t now)
 {
     RunState& rs = *run_;
-    for (const CtaCompletion& c : completions_) {
+    for (const GridRun* g : completions_) {
         for (auto& l : rs.resident) {
-            if (&l->grid != c.grid)
+            if (&l->grid != g)
                 continue;
             if (l->record_key.empty())
                 break;
@@ -470,96 +451,6 @@ ExecutionEngine::finish_replay(Launch& l, const LaunchStats& ls)
     rs.last_finished_key = l.desc.timing_key;
 }
 
-/** Per-CTA register demand (mirrors the SM's accounting). */
-static uint64_t
-shadow_cta_registers(const KernelDesc& k)
-{
-    return static_cast<uint64_t>(k.warps_per_cta) * kWarpSize *
-           static_cast<uint64_t>(k.regs_per_thread);
-}
-
-bool
-ExecutionEngine::dispatch_shadow(ShadowSm& sh, uint64_t now)
-{
-    RunState& rs = *run_;
-    for (auto& l : rs.resident) {
-        GridRun& g = l->grid;
-        if (!g.pending())
-            continue;
-        // A grid must seed the detailed SMs before it fast-forwards:
-        // the estimator needs real completions, and a pending shadow
-        // CTA relies on a live detailed CTA to eventually supply the
-        // measurement that prices it.
-        if (g.next_cta - g.shadow_ctas == 0)
-            continue;
-        const KernelDesc& k = *g.kernel;
-        if (sh.used_ctas >= cfg_.max_ctas_per_sm ||
-            sh.used_warps + k.warps_per_cta > cfg_.max_warps_per_sm ||
-            sh.used_smem + k.shared_mem_bytes > cfg_.shared_mem_per_sm ||
-            sh.used_regs + shadow_cta_registers(k) > cfg_.registers_per_sm)
-            continue;
-        ++sh.used_ctas;
-        sh.used_warps += k.warps_per_cta;
-        sh.used_smem += k.shared_mem_bytes;
-        sh.used_regs += shadow_cta_registers(k);
-        // Price the CTA now if a measurement exists; otherwise leave
-        // it pending (predicted_done = 0) for shadow_commit to price
-        // when the grid's first detailed completion lands.
-        auto it = rs.estimators.find(g.grid_id);
-        uint64_t eta = 0;
-        if (it != rs.estimators.end() && it->second.ready())
-            eta = std::max(now + it->second.mean(), now + 1);
-        sh.resident.push_back(ShadowCta{&g, now, eta});
-        ++g.next_cta;
-        ++g.shadow_ctas;
-        return true;
-    }
-    return false;
-}
-
-void
-ExecutionEngine::shadow_commit(uint64_t now)
-{
-    RunState& rs = *run_;
-    for (const CtaCompletion& c : completions_)
-        rs.estimators[c.grid->grid_id].add(now, c.latency,
-                                           opts_.sample_window);
-    completions_.clear();
-    // Price pending shadow CTAs whose grid now has a measurement,
-    // counting residency from their launch cycle.
-    for (ShadowSm& sh : rs.shadows) {
-        for (ShadowCta& c : sh.resident) {
-            if (c.predicted_done != 0)
-                continue;
-            auto it = rs.estimators.find(c.grid->grid_id);
-            if (it == rs.estimators.end() || !it->second.ready())
-                continue;
-            c.predicted_done =
-                std::max(c.launched + it->second.mean(), now + 1);
-        }
-    }
-    // Retire predicted completions, shadow order then entry order.
-    for (ShadowSm& sh : rs.shadows) {
-        for (size_t i = 0; i < sh.resident.size();) {
-            if (sh.resident[i].predicted_done == 0 ||
-                sh.resident[i].predicted_done > now) {
-                ++i;
-                continue;
-            }
-            GridRun* g = sh.resident[i].grid;
-            const KernelDesc& k = *g->kernel;
-            --sh.used_ctas;
-            sh.used_warps -= k.warps_per_cta;
-            sh.used_smem -= k.shared_mem_bytes;
-            sh.used_regs -= shadow_cta_registers(k);
-            if (++g->ctas_done == k.grid_ctas)
-                g->finish_cycle = now;
-            sh.resident.erase(sh.resident.begin() +
-                              static_cast<ptrdiff_t>(i));
-        }
-    }
-}
-
 LaunchStats
 ExecutionEngine::finalize(Launch& l) const
 {
@@ -586,17 +477,6 @@ ExecutionEngine::finalize(Launch& l) const
     }
     s.instructions = l.grid.stats.instructions();
     s.hmma_instructions = l.grid.stats.hmma_instructions();
-    // Sampled mode: shadow CTAs executed no instructions — scale the
-    // detailed counts up by the full-grid fraction.  Memory counters
-    // are left as-measured (detailed traffic only); total.cycles is
-    // the approximate figure whose error CI bounds.
-    if (l.grid.shadow_ctas > 0) {
-        uint64_t total = static_cast<uint64_t>(l.desc.grid_ctas);
-        uint64_t det = total - static_cast<uint64_t>(l.grid.shadow_ctas);
-        TCSIM_CHECK(det > 0);
-        s.instructions = s.instructions * total / det;
-        s.hmma_instructions = s.hmma_instructions * total / det;
-    }
     s.ipc = s.cycles > 0 ? static_cast<double>(s.instructions) /
                                static_cast<double>(s.cycles)
                          : 0.0;
@@ -757,10 +637,6 @@ ExecutionEngine::step(uint64_t bound)
             launched |= dispatch_to(sm.get());
             cycled_.push_back(sm.get());
         }
-        // Sampled mode: shadow SMs accept after the detailed array
-        // (same one-CTA-per-SM-per-cycle rasterizer pacing).
-        for (ShadowSm& sh : rs.shadows)
-            launched |= dispatch_shadow(sh, now);
     } else {
         cycled_.reserve(rs.busy_sms.size());
         for (int id : rs.busy_sms)
@@ -790,23 +666,16 @@ ExecutionEngine::step(uint64_t bound)
 
     // Phase C (engine thread, SM-index order): apply the staged
     // functional global-memory accesses and grid CTA completions.
-    // Sampled mode also collects each CTA's measured latency for the
-    // shadow estimators and retires due shadow CTAs.
     // Replay recording also wants completions: each one becomes an
-    // occupancy-timeline sample in the launch's profile.  Sampled and
-    // replay modes are mutually exclusive (ctor-enforced), so the two
-    // consumers never contend for the buffer.
+    // occupancy-timeline sample in the launch's profile.
     bool recording = false;
     for (const auto& l : rs.resident)
         if (!l->record_key.empty())
             recording = true;
-    const bool sampled = !rs.shadows.empty();
     completions_.clear();
     for (SM* sm : cycled_)
-        sm->commit_tick((sampled || recording) ? &completions_ : nullptr);
-    if (sampled)
-        shadow_commit(now);
-    else if (recording)
+        sm->commit_tick(recording ? &completions_ : nullptr);
+    if (recording)
         record_occupancy(now);
 
     // The busy list for the next tick (ascending, since cycled_ is).
@@ -888,15 +757,6 @@ ExecutionEngine::step(uint64_t bound)
         for (int id : rs.busy_sms)
             e = std::min(e, rs.sms[static_cast<size_t>(id)]
                                 ->next_event_cached());
-        // Shadow CTAs in flight are scheduled events too: their
-        // predicted completions bound the idle-skip jump (and keep a
-        // shadow-only chip from tripping the dead-chip panic).
-        // (Unpriced CTAs contribute nothing: the detailed CTA that
-        // will price them is itself a scheduled event.)
-        for (const ShadowSm& sh : rs.shadows)
-            for (const ShadowCta& c : sh.resident)
-                if (c.predicted_done != 0)
-                    e = std::min(e, c.predicted_done);
         // Replayed launches never touch an SM: their scheduled
         // completion is the only event that will unblock them (and a
         // replay-only chip would otherwise trip the dead-chip panic).
@@ -1284,16 +1144,6 @@ load_run_stats(SnapshotReader& r, RunStatsCollector* c)
     }
 }
 
-uint32_t
-engine_grid_index(const std::vector<GridRun*>& grids, const GridRun* g)
-{
-    for (size_t i = 0; i < grids.size(); ++i)
-        if (grids[i] == g)
-            return static_cast<uint32_t>(i);
-    throw SnapshotError("shadow CTA references a grid not in the "
-                        "resident table");
-}
-
 }  // namespace
 
 void
@@ -1328,7 +1178,6 @@ ExecutionEngine::save_state(SnapshotWriter& w,
         w.i32(g.stream_id);
         w.i32(g.next_cta);
         w.i32(g.ctas_done);
-        w.i32(g.shadow_ctas);
         w.u64(g.start_cycle);
         w.u64(g.finish_cycle);
         save_run_stats(w, g.stats);
@@ -1370,31 +1219,6 @@ ExecutionEngine::save_state(SnapshotWriter& w,
     w.u64(rs.busy_sms.size());
     for (int id : rs.busy_sms)
         w.i32(id);
-
-    // Sampled mode: shadow occupancy + the per-grid estimators.
-    w.tag(kTagShadow);
-    w.u64(rs.shadows.size());
-    for (const ShadowSm& sh : rs.shadows) {
-        w.i32(sh.used_ctas);
-        w.i32(sh.used_warps);
-        w.u64(sh.used_smem);
-        w.u64(sh.used_regs);
-        w.u64(sh.resident.size());
-        for (const ShadowCta& c : sh.resident) {
-            w.u32(engine_grid_index(grids, c.grid));
-            w.u64(c.launched);
-            w.u64(c.predicted_done);
-        }
-    }
-    w.u64(rs.estimators.size());
-    for (const auto& [gid, est] : rs.estimators) {
-        w.i32(gid);
-        w.u64(est.mean_sum);
-        w.u64(est.mean_count);
-        w.u64(est.win_start);
-        w.u64(est.win_sum);
-        w.u64(est.win_count);
-    }
 
     // Replay run-state: warmth trackers, verify sampling counter, the
     // hit/miss/verified tallies, and the accumulated deltas of already
@@ -1456,7 +1280,6 @@ ExecutionEngine::load_state(SnapshotReader& r,
         l->grid.stream_id = r.i32();
         l->grid.next_cta = r.i32();
         l->grid.ctas_done = r.i32();
-        l->grid.shadow_ctas = r.i32();
         l->grid.start_cycle = r.u64();
         l->grid.finish_cycle = r.u64();
         load_run_stats(r, &l->grid.stats);
@@ -1529,36 +1352,6 @@ ExecutionEngine::load_state(SnapshotReader& r,
         if (id < 0 || static_cast<uint64_t>(id) >= nsms)
             throw SnapshotError("busy SM index out of range");
         rs.busy_sms.push_back(id);
-    }
-
-    r.tag(kTagShadow);
-    rs.shadows.resize(r.u64());
-    for (ShadowSm& sh : rs.shadows) {
-        sh.used_ctas = r.i32();
-        sh.used_warps = r.i32();
-        sh.used_smem = r.u64();
-        sh.used_regs = r.u64();
-        uint64_t n = r.u64();
-        sh.resident.reserve(n);
-        for (uint64_t i = 0; i < n; ++i) {
-            uint32_t gi = r.u32();
-            if (gi >= grids.size())
-                throw SnapshotError("shadow grid index out of range");
-            uint64_t launched = r.u64();
-            uint64_t done = r.u64();
-            sh.resident.push_back(ShadowCta{grids[gi], launched, done});
-        }
-    }
-    uint64_t nest = r.u64();
-    for (uint64_t i = 0; i < nest; ++i) {
-        int gid = r.i32();
-        CtaRateEstimator est;
-        est.mean_sum = r.u64();
-        est.mean_count = r.u64();
-        est.win_start = r.u64();
-        est.win_sum = r.u64();
-        est.win_count = r.u64();
-        rs.estimators.emplace(gid, est);
     }
 
     r.tag(kTagReplay);

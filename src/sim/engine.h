@@ -211,28 +211,6 @@ struct SimOptions
      * arrays.  Clamped to GpuConfig::num_sms.
      */
     int min_sms = 0;
-    /**
-     * Sampled-SM fast-forward (0 = off, full detail).  When positive,
-     * at most this many SMs are simulated cycle-accurately; the rest
-     * of the array becomes *shadow* SMs that model occupancy only.  A
-     * shadow CTA completes after the measured mean CTA latency of its
-     * grid on the detailed SMs (re-sampled every sample_window
-     * cycles).  Shadows accept CTAs at the same rasterizer pace as
-     * detailed SMs — so occupancy matches a full-detail run — but a
-     * grid must have dispatched at least one detailed CTA first, and
-     * a shadow CTA's completion is only predicted once the first
-     * detailed measurement lands.  Approximate by construction: total
-     * cycles carry the error bound asserted in CI, per-grid
-     * instruction counts are extrapolated from the detailed fraction,
-     * and memory counters reflect detailed traffic only.  Rejected
-     * for functional kernels (shadow CTAs execute nothing).
-     */
-    int detailed_sms = 0;
-    /** Re-sampling window (cycles) of the shadow CTA-latency
-     *  estimator: each window that observed at least one detailed CTA
-     *  completion replaces the running mean. */
-    uint64_t sample_window = 4096;
-
     /** Kernel-timing replay cache mode (see sim/replay/). */
     enum class ReplayMode {
         kOff,     ///< Always simulate in detail (the default).
@@ -255,8 +233,7 @@ struct SimOptions
      * recorded deltas, and stream/event/task-graph ordering is
      * untouched.  Launches with an empty KernelDesc::timing_key or
      * with functional=true (replay would skip their data movement)
-     * always run in detail.  Mutually exclusive with detailed_sms
-     * (the engine throws): sampled profiles would poison the cache.
+     * always run in detail.
      */
     ReplayMode replay_mode = ReplayMode::kOff;
     /** Verify mode: re-simulate every Nth fingerprint hit (the first
@@ -453,63 +430,6 @@ class ExecutionEngine
         Launch* live = nullptr;  ///< Currently resident launch, if any.
     };
 
-    /** Windowed mean CTA latency of one grid (sampled mode): each
-     *  sample_window that saw at least one detailed CTA completion
-     *  replaces the running mean with that window's mean. */
-    struct CtaRateEstimator
-    {
-        uint64_t mean_sum = 0;   ///< Sum of the last closed window.
-        uint64_t mean_count = 0;
-        uint64_t win_start = 0;
-        uint64_t win_sum = 0;
-        uint64_t win_count = 0;
-
-        void add(uint64_t now, uint64_t latency, uint64_t window)
-        {
-            if (win_count > 0 && now - win_start >= window) {
-                mean_sum = win_sum;
-                mean_count = win_count;
-                win_start = now;
-                win_sum = 0;
-                win_count = 0;
-            }
-            win_sum += latency;
-            ++win_count;
-        }
-
-        /** At least one detailed completion observed. */
-        bool ready() const { return mean_count > 0 || win_count > 0; }
-
-        /** Current mean CTA latency (integer cycles, >= 1). */
-        uint64_t mean() const
-        {
-            uint64_t s = mean_count ? mean_sum : win_sum;
-            uint64_t c = mean_count ? mean_count : win_count;
-            return c ? std::max<uint64_t>(1, s / c) : 1;
-        }
-    };
-
-    /** One CTA resident on a shadow SM (sampled mode).  A CTA may be
-     *  dispatched before its grid has any latency measurement;
-     *  predicted_done == 0 marks it pending until the estimator's
-     *  first sample arrives. */
-    struct ShadowCta
-    {
-        GridRun* grid = nullptr;
-        uint64_t launched = 0;
-        uint64_t predicted_done = 0;
-    };
-
-    /** A fast-forwarded SM: occupancy accounting, no pipeline. */
-    struct ShadowSm
-    {
-        int used_ctas = 0;
-        int used_warps = 0;
-        uint64_t used_smem = 0;
-        uint64_t used_regs = 0;
-        std::vector<ShadowCta> resident;
-    };
-
     /** Per-run state: everything that resets at a run boundary.  The
      *  split makes the engine itself persistent and runs resumable. */
     struct RunState
@@ -543,10 +463,6 @@ class ExecutionEngine
         std::chrono::steady_clock::time_point wall_start;
         /** Accumulates ticks/skipped_cycles and retired kernels. */
         EngineStats stats;
-        /** Sampled mode: shadow SMs and per-grid-id estimators. */
-        std::vector<ShadowSm> shadows;
-        std::map<int, CtaRateEstimator> estimators;
-
         /** Replay warmth tracking: the timing_key of the most
          *  recently retired launch (empty for uncacheable kernels)
          *  and whether anything has retired at all.  Updated in
@@ -638,12 +554,6 @@ class ExecutionEngine
      *  verify divergence, record the profile, accumulate replayed
      *  counter deltas, update warmth tracking. */
     void finish_replay(Launch& l, const LaunchStats& ls);
-    /** Place one CTA on shadow SM @p sh at @p now, if any resident
-     *  grid with a ready estimator fits.  Sampled mode only. */
-    bool dispatch_shadow(ShadowSm& sh, uint64_t now);
-    /** Retire shadow CTAs whose predicted completion has arrived and
-     *  feed this tick's detailed completions to the estimators. */
-    void shadow_commit(uint64_t now);
     LaunchStats finalize(Launch& l) const;
     bool drained() const;
     /** Where the active run stands, else the last drained run's end. */
@@ -694,8 +604,8 @@ class ExecutionEngine
     std::vector<SM*> cycled_;
     /** Scratch: grids retiring this tick (batched forget pass). */
     std::vector<const GridRun*> retiring_;
-    /** Scratch: detailed CTA completions this tick (sampled mode). */
-    std::vector<CtaCompletion> completions_;
+    /** Scratch: CTA completions this tick (replay recording). */
+    std::vector<GridRun*> completions_;
 
     std::unique_ptr<RunState> run_;
     /** Final statistics of the last run that drained (stats() while

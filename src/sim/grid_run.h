@@ -116,10 +116,6 @@ struct GridRun
 
     int next_cta = 0;   ///< Next CTA id to dispatch.
     int ctas_done = 0;  ///< CTAs fully completed (all warps drained).
-    /** CTAs dispatched to shadow SMs (sampled mode): these never ran
-     *  in detail, so per-grid instruction counts extrapolate from the
-     *  detailed grid_ctas - shadow_ctas fraction at finalize. */
-    int shadow_ctas = 0;
 
     /** Cycle the grid became resident (eligible for dispatch). */
     uint64_t start_cycle = 0;

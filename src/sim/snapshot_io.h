@@ -186,7 +186,6 @@ enum : uint8_t {
     kTagSm = 0x73,           // 's'
     kTagSubCore = 0x63,      // 'c'
     kTagWarp = 0x77,         // 'w'
-    kTagShadow = 0x68,       // 'h'
     kTagReplay = 0x72,       // 'r'
     kTagEnd = 0x5a,          // 'Z'
 };

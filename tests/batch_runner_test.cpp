@@ -99,8 +99,8 @@ make_suite()
 TEST(BatchRunner, ParallelCyclesMatchSerial)
 {
     std::vector<Scenario> suite = make_suite();
-    BatchReport serial = run_batch(suite, 1);
-    BatchReport parallel = run_batch(suite, 4);
+    BatchReport serial = run_batch(suite, {.jobs = 1});
+    BatchReport parallel = run_batch(suite, {.jobs = 4});
 
     ASSERT_EQ(serial.results.size(), suite.size());
     ASSERT_EQ(parallel.results.size(), suite.size());
@@ -129,8 +129,8 @@ TEST(BatchRunner, ParallelCyclesMatchSerial)
 TEST(BatchRunner, RepeatedParallelRunsAreDeterministic)
 {
     std::vector<Scenario> suite = make_suite();
-    BatchReport r1 = run_batch(suite, 4);
-    BatchReport r2 = run_batch(suite, 4);
+    BatchReport r1 = run_batch(suite, {.jobs = 4});
+    BatchReport r2 = run_batch(suite, {.jobs = 4});
     for (size_t i = 0; i < suite.size(); ++i)
         EXPECT_EQ(r1.results[i].totals.cycles, r2.results[i].totals.cycles)
             << r1.results[i].name;
@@ -146,7 +146,7 @@ TEST(BatchRunner, FailingScenarioDoesNotPoisonTheBatch)
       "kernels": [{"kernel": "hmma_stress", "warps_per_cta": 4}]
     })"));
 
-    BatchReport report = run_batch(suite, 4);
+    BatchReport report = run_batch(suite, {.jobs = 4});
     EXPECT_EQ(report.failed(), 1);
     EXPECT_FALSE(report.results[1].passed);
     EXPECT_FALSE(report.results[1].error.empty());
@@ -169,7 +169,7 @@ TEST(BatchRunner, FailFastStopsSerialBatchAtFirstFailure)
       "kernels": [{"kernel": "hmma_stress", "warps_per_cta": 4}]
     })"));
 
-    BatchReport report = run_batch(suite, 1, /*fail_fast=*/true);
+    BatchReport report = run_batch(suite, {.jobs = 1, .fail_fast = true});
     EXPECT_EQ(report.failed(), 1);
     EXPECT_EQ(report.skipped(),
               static_cast<int>(suite.size()) - 2);
@@ -196,7 +196,7 @@ TEST(BatchRunner, FailFastParallelSkipsScenariosNotYetStarted)
     // count depends on timing; the invariants are: the failure is
     // recorded, nothing reports as passed-and-skipped, and the batch
     // still fails.
-    BatchReport report = run_batch(suite, 2, /*fail_fast=*/true);
+    BatchReport report = run_batch(suite, {.jobs = 2, .fail_fast = true});
     EXPECT_GE(report.failed(), 1);
     EXPECT_FALSE(report.results[0].passed);
     for (const ScenarioResult& r : report.results)
@@ -211,7 +211,7 @@ TEST(BatchRunner, NoFailFastRunsEverythingDespiteFailure)
       "gpu": {"preset": "titan_v", "num_sms": 1, "registers_per_sm": 1024},
       "kernels": [{"kernel": "hmma_stress", "warps_per_cta": 4}]
     })"));
-    BatchReport report = run_batch(suite, 1);
+    BatchReport report = run_batch(suite, {.jobs = 1});
     EXPECT_EQ(report.failed(), 1);
     EXPECT_EQ(report.skipped(), 0);
 }
@@ -220,7 +220,7 @@ TEST(BatchRunner, ReportJsonRoundTrips)
 {
     std::vector<Scenario> suite = make_suite();
     suite.resize(2);
-    BatchReport report = run_batch(suite, 2);
+    BatchReport report = run_batch(suite, {.jobs = 2});
     JsonValue doc = json_parse(report_to_json(report).dump(2));
 
     EXPECT_EQ(doc.find("schema")->as_string(), "tcsim-batch-report-v1");
@@ -317,18 +317,20 @@ TEST(BatchRunner, OversubscribedScenarioIsATypedErrorRow)
                    "warps_per_cta": 4}]
     })"));
 
-    BatchReport report = run_batch(suite, 4);
+    BatchReport report = run_batch(suite, {.jobs = 4});
     EXPECT_EQ(report.failed(), 1);
     const ScenarioResult& bad = report.results[2];
     EXPECT_EQ(bad.name, "too_big");
     EXPECT_FALSE(bad.passed);
     EXPECT_NE(bad.error.find("exceeds SM resources"), std::string::npos)
         << bad.error;
-    for (size_t i = 0; i < report.results.size(); ++i)
-        if (i != 2)
+    for (size_t i = 0; i < report.results.size(); ++i) {
+        if (i != 2) {
             EXPECT_TRUE(report.results[i].passed)
                 << report.results[i].name << ": "
                 << report.results[i].error;
+        }
+    }
 }
 
 TEST(BatchRunner, HungScenarioIsContainedByTheWallWatchdog)

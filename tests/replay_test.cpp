@@ -451,20 +451,5 @@ TEST(Replay, SnapshotMidRecordingKeepsSequenceSlots)
     (void)out;
 }
 
-TEST(Replay, SampledModeIsMutuallyExclusive)
-{
-    GpuConfig cfg = small_titan_v(4);
-    SimOptions opts;
-    opts.replay_mode = SimOptions::ReplayMode::kReplay;
-    opts.detailed_sms = 2;
-    EXPECT_THROW(
-        {
-            Gpu gpu(cfg, opts);
-            enqueue_gemm(gpu, 64);
-            gpu.run();
-        },
-        std::runtime_error);
-}
-
 }  // namespace
 }  // namespace tcsim

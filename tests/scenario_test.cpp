@@ -210,6 +210,18 @@ TEST(Scenario, RejectsUnknownKeys)
       "kernels": [{"kernel": "hmma_stress"}]
     })"),
                  ScenarioError);
+    // Keys of the removed sampled-SM mode: an old scenario must fail
+    // loudly rather than silently run at full detail.
+    EXPECT_THROW(parse_scenario_text(R"({
+      "name": "s", "sim": {"detailed_sms": 2},
+      "kernels": [{"kernel": "hmma_stress"}]
+    })"),
+                 ScenarioError);
+    EXPECT_THROW(parse_scenario_text(R"({
+      "name": "s", "sim": {"sample_window": 4096},
+      "kernels": [{"kernel": "hmma_stress"}]
+    })"),
+                 ScenarioError);
 }
 
 TEST(Scenario, RejectsInvalidValues)

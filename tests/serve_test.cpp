@@ -110,8 +110,9 @@ TEST(RequestTrace, PoissonDeterministicAndSorted)
     for (size_t i = 0; i < a.size(); ++i) {
         EXPECT_EQ(a[i].arrival_cycle, b[i].arrival_cycle);
         EXPECT_EQ(a[i].id, static_cast<int>(i));
-        if (i > 0)
+        if (i > 0) {
             EXPECT_GE(a[i].arrival_cycle, a[i - 1].arrival_cycle);
+        }
     }
     // Mean inter-arrival gap converges on the requested mean.
     const double mean =

@@ -191,8 +191,9 @@ TEST(TensorCoreUnit, GroupCadence)
     uint64_t now = 100;
     for (size_t i = 0; i < group.size(); ++i) {
         // The cadence gate: issue attempts before the interval fail.
-        if (i > 0)
+        if (i > 0) {
             EXPECT_FALSE(tc.try_issue(0, group[i], now - 1).has_value());
+        }
         auto done = tc.try_issue(0, group[i], now);
         ASSERT_TRUE(done.has_value()) << i;
         EXPECT_EQ(*done, 100u + static_cast<uint64_t>(expected[i])) << i;

@@ -5,14 +5,12 @@
  * macro-latency sample — to the same run advanced without
  * interruption, for every sim-thread count and both main loops.  Also
  * pins the failure modes (version/config/scheduler mismatch, queued
- * callbacks, idle capture), the reset audit (restoring onto a dirty
- * Gpu equals restoring onto a fresh one), and the sampled-SM
- * fast-forward mode (SimOptions::detailed_sms).
+ * callbacks, idle capture) and the reset audit (restoring onto a dirty
+ * Gpu equals restoring onto a fresh one).
  */
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <vector>
 
 #include "kernels/gemm_kernels.h"
@@ -500,69 +498,6 @@ TEST(Snapshot, MismatchesRejectedBeforeMutation)
     // still restores and runs identically afterwards.
     target.restore(snap);
     expect_identical(base, target.run());
-}
-
-TEST(SampledSms, ApproximatesFullRunAndExtrapolatesCounts)
-{
-    // 32 CTAs on 8 SMs, only 2 simulated in detail: shadows must take
-    // real work (less detailed memory traffic), instruction totals
-    // extrapolate exactly for a homogeneous grid, and total cycles
-    // stay within a loose factor of the full-detail run.
-    GpuConfig cfg = small_titan_v(8);
-    SimOptions full;
-    EngineStats detailed = cold_gemm(cfg, full, 256);
-
-    SimOptions sampled = full;
-    sampled.detailed_sms = 2;
-    EngineStats approx = cold_gemm(cfg, sampled, 256);
-
-    EXPECT_LT(approx.mem.global_sectors, detailed.mem.global_sectors);
-    EXPECT_EQ(approx.instructions, detailed.instructions);
-    EXPECT_EQ(approx.hmma_instructions, detailed.hmma_instructions);
-
-    double err =
-        std::abs(static_cast<double>(approx.cycles) -
-                 static_cast<double>(detailed.cycles)) /
-        static_cast<double>(detailed.cycles);
-    EXPECT_LE(err, 0.25) << "sampled cycles " << approx.cycles
-                         << " vs full " << detailed.cycles;
-}
-
-TEST(SampledSms, DeterministicAndSnapshotable)
-{
-    // Sampled mode is still deterministic (same options -> identical
-    // stats) and its shadow state snapshots/restores faithfully.
-    GpuConfig cfg = small_titan_v(8);
-    SimOptions opts;
-    opts.detailed_sms = 2;
-    EngineStats base = cold_gemm(cfg, opts, 256);
-    expect_identical(base, cold_gemm(cfg, opts, 256));
-
-    Gpu gpu(cfg, opts);
-    enqueue_gemm(gpu, 256);
-    gpu.run_until(base.cycles / 2);
-    ASSERT_TRUE(gpu.run_active());
-    Snapshot snap = gpu.snapshot();
-
-    Gpu fork(cfg, opts);
-    fork.restore(snap);
-    expect_identical(base, fork.run());
-}
-
-TEST(SampledSms, RejectsFunctionalKernels)
-{
-    Gpu gpu(small_titan_v(4), [] {
-        SimOptions opts;
-        opts.detailed_sms = 1;
-        return opts;
-    }());
-    GemmKernelConfig kc;
-    kc.m = kc.n = kc.k = 64;
-    kc.functional = true;
-    GemmProblem<float> p(64, 64, 64, Layout::kRowMajor, Layout::kRowMajor);
-    GemmBuffers buf = p.upload(&gpu.mem());
-    gpu.default_stream().enqueue(make_wmma_gemm_naive(kc, buf));
-    EXPECT_THROW(gpu.run(), std::runtime_error);
 }
 
 }  // namespace

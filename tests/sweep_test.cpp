@@ -213,8 +213,7 @@ TEST(SweepRun, ForkedMatchesColdAtEveryThreadCount)
 {
     Scenario sc = parse_scenario_text(sweep_text());
     std::vector<ScenarioResult> cold =
-        run_sweep(sc, /*jobs=*/1, /*sim_threads=*/-1,
-                  /*detailed_sms=*/-1, /*cold_sweep=*/true);
+        run_sweep(sc, /*jobs=*/1, /*sim_threads=*/-1, /*cold_sweep=*/true);
     ASSERT_EQ(cold.size(), 2u);
     for (const ScenarioResult& r : cold) {
         EXPECT_FALSE(r.sweep_forked);
@@ -226,7 +225,7 @@ TEST(SweepRun, ForkedMatchesColdAtEveryThreadCount)
     for (int jobs : {1, 2}) {
         for (int threads : {-1, 2}) {
             std::vector<ScenarioResult> forked =
-                run_sweep(sc, jobs, threads, -1, false);
+                run_sweep(sc, jobs, threads, /*cold_sweep=*/false);
             ASSERT_EQ(forked.size(), cold.size());
             for (size_t i = 0; i < forked.size(); ++i) {
                 EXPECT_TRUE(forked[i].sweep_forked);

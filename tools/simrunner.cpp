@@ -34,8 +34,6 @@
  *     --cold-sweep    run every sweep point cold (prefix + point from
  *                     cycle 0) instead of forking the prefix snapshot
  *                     — the fork-identity reference leg
- *     --detailed-sms N  override sim.detailed_sms on every scenario
- *                     (sampled-SM fast-forward; 0 = full detail)
  *     --dump-dag DIR  write the dependency DAG of every matching
  *                     scenario to DIR/<name>.dag.json and .dag.dot
  *                     (compiled plan for declarative scenarios, the
@@ -57,6 +55,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -88,7 +87,6 @@ struct Options
     std::string sweep_path;   ///< --sweep base scenario file.
     std::string grid_path;    ///< --grid standalone sweep document.
     bool cold_sweep = false;
-    int detailed_sms = -1;    ///< -1 = per-scenario sim.detailed_sms.
     std::string dump_dag_dir; ///< --dump-dag output directory.
     std::string trace_out_dir; ///< --trace-out output directory.
     /** --replay mode as a SimOptions::ReplayMode int (-1 = keep the
@@ -126,7 +124,6 @@ usage(std::FILE* to)
         "  --sweep FILE    base scenario for a snapshot-forked sweep\n"
         "  --grid FILE     sweep document to attach to the --sweep base\n"
         "  --cold-sweep    run sweep points cold instead of forking\n"
-        "  --detailed-sms N  override sim.detailed_sms (0 = full detail)\n"
         "  --dump-dag DIR  write each scenario's dependency DAG to\n"
         "                  DIR/<name>.dag.{json,dot} and exit\n"
         "  --trace-out DIR write per-request serving traces to\n"
@@ -135,6 +132,28 @@ usage(std::FILE* to)
         "  --timeout-ms N  per-scenario wall-clock watchdog: a hung or\n"
         "                  runaway scenario becomes a structured error\n"
         "                  row while the rest of the batch completes\n");
+}
+
+/** Parse the value @p v of integer flag @p flag: the whole string
+ *  must be a base-10 integer that fits T and is at least @p lo.
+ *  Prints an error and returns false otherwise (a null @p v was
+ *  already reported as missing). */
+template <typename T>
+bool
+parse_int_flag(const std::string& flag, const char* v, T lo, T* out)
+{
+    if (!v)
+        return false;
+    const char* end = v + std::strlen(v);
+    T parsed{};
+    auto [ptr, ec] = std::from_chars(v, end, parsed);
+    if (ec != std::errc() || ptr != end || parsed < lo) {
+        std::fprintf(stderr, "simrunner: bad %s value \"%s\"\n",
+                     flag.c_str(), v);
+        return false;
+    }
+    *out = parsed;
+    return true;
 }
 
 bool
@@ -151,24 +170,11 @@ parse_args(int argc, char** argv, Options* opts)
             return argv[++i];
         };
         if (arg == "--jobs" || arg == "-j") {
-            const char* v = value();
-            if (!v)
+            if (!parse_int_flag(arg, value(), 1, &opts->jobs))
                 return false;
-            opts->jobs = std::atoi(v);
-            if (opts->jobs < 1) {
-                std::fprintf(stderr, "simrunner: bad --jobs value\n");
-                return false;
-            }
         } else if (arg == "--sim-threads") {
-            const char* v = value();
-            if (!v)
+            if (!parse_int_flag(arg, value(), 0, &opts->sim_threads))
                 return false;
-            opts->sim_threads = std::atoi(v);
-            if (opts->sim_threads < 0 ||
-                (opts->sim_threads == 0 && std::strcmp(v, "0") != 0)) {
-                std::fprintf(stderr, "simrunner: bad --sim-threads value\n");
-                return false;
-            }
         } else if (arg == "--report") {
             const char* v = value();
             if (!v)
@@ -226,27 +232,10 @@ parse_args(int argc, char** argv, Options* opts)
             opts->grid_path = v;
         } else if (arg == "--cold-sweep") {
             opts->cold_sweep = true;
-        } else if (arg == "--detailed-sms") {
-            const char* v = value();
-            if (!v)
-                return false;
-            opts->detailed_sms = std::atoi(v);
-            if (opts->detailed_sms < 0 ||
-                (opts->detailed_sms == 0 && std::strcmp(v, "0") != 0)) {
-                std::fprintf(stderr,
-                             "simrunner: bad --detailed-sms value\n");
-                return false;
-            }
         } else if (arg == "--timeout-ms") {
-            const char* v = value();
-            if (!v)
+            if (!parse_int_flag(arg, value(), uint64_t{1},
+                                &opts->timeout_ms))
                 return false;
-            long long ms = std::atoll(v);
-            if (ms < 1) {
-                std::fprintf(stderr, "simrunner: bad --timeout-ms value\n");
-                return false;
-            }
-            opts->timeout_ms = static_cast<uint64_t>(ms);
         } else if (arg == "--dump-dag") {
             const char* v = value();
             if (!v)
@@ -511,7 +500,6 @@ main(int argc, char** argv)
     batch.fail_fast = opts.fail_fast;
     batch.sim_threads = opts.sim_threads;
     batch.cold_sweep = opts.cold_sweep;
-    batch.detailed_sms = opts.detailed_sms;
     batch.timeout_ms = opts.timeout_ms;
     ReplayCache replay_cache;
     if (opts.replay_mode >= 0) {
