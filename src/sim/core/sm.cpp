@@ -96,6 +96,7 @@ SM::can_accept(const KernelDesc& k) const
 void
 SM::launch_cta(GridRun* grid, int cta_id)
 {
+    TCSIM_CHECK(!pending_wb_);  // Dispatch runs between ticks.
     const KernelDesc& k = *grid->kernel;
     size_t slot = 0;
     while (slot < cta_slots_.size() && cta_slots_[slot].valid)
@@ -149,12 +150,23 @@ SM::begin_tick(uint64_t now)
 {
     now_ = now;
     progress_ = false;
-    process_mio();
+    process_global_pipe();
 }
 
 void
 SM::tick_compute(uint64_t now)
 {
+    // The shared-memory pipe never leaves the SM, so it runs here in
+    // parallel.  Its writeback registers before the global pipe's
+    // stashed one and both before the sub-cores tick: the order in
+    // which a serial SM::cycle fills each sub-core's in-flight list.
+    process_shared_pipe();
+    if (pending_wb_) {
+        subcores_[static_cast<size_t>(pending_wb_->subcore)]
+            ->register_writeback(pending_wb_->done, pending_wb_->warp_slot,
+                                 pending_wb_->inst, pending_wb_->iter);
+        pending_wb_.reset();
+    }
     for (auto& sc : subcores_) {
         if (sc->do_writebacks(now))
             progress_ = true;
@@ -248,9 +260,8 @@ SM::mio_push(int subcore, int warp_slot, const Instruction* inst, int iter)
 }
 
 void
-SM::process_mio()
+SM::process_shared_pipe()
 {
-    // Shared-memory pipe.
     if (!mio_shared_.empty() && now_ >= mio_shared_free_) {
         MioEntry entry = mio_shared_.front();
         mio_shared_.pop_front();
@@ -267,10 +278,15 @@ SM::process_mio()
         subcores_[static_cast<size_t>(entry.subcore)]->register_writeback(
             done, entry.warp_slot, entry.inst, entry.iter);
     }
-    // L1/global pipe: drive the head entry's sectors through the
-    // transaction path.  A refused sector (MSHR / NoC / DRAM-queue
-    // back-pressure) leaves the entry at the head with its progress;
-    // the retry cycle feeds next_event so idle-skip stays exact.
+}
+
+void
+SM::process_global_pipe()
+{
+    // Drive the head entry's sectors through the transaction path.  A
+    // refused sector (MSHR / NoC / DRAM-queue back-pressure) leaves
+    // the entry at the head with its progress; the retry cycle feeds
+    // next_event so idle-skip stays exact.
     if (!mio_global_.empty() &&
         now_ >= std::max(mio_global_free_, mio_global_retry_)) {
         MioEntry& entry = mio_global_.front();
@@ -307,9 +323,10 @@ SM::process_mio()
             mio_global_free_ = now_ + std::max<uint64_t>(1, accepted / 2);
         if (entry.next_sector == entry.sectors.size()) {
             progress_ = true;
-            uint64_t done = std::max(entry.done, now_);
-            subcores_[static_cast<size_t>(entry.subcore)]->register_writeback(
-                done, entry.warp_slot, entry.inst, entry.iter);
+            // Registered by tick_compute, after the shared pipe's.
+            pending_wb_ = PendingWriteback{std::max(entry.done, now_),
+                                           entry.subcore, entry.warp_slot,
+                                           entry.inst, entry.iter};
             mio_global_.pop_front();
         }
     }
@@ -561,6 +578,7 @@ SM::save_state(SnapshotWriter& w, const std::vector<GridRun*>& grids) const
     if (!staged_mem_.empty() || !staged_cta_done_.empty())
         throw SnapshotError(
             "SM has staged work; snapshots only between ticks");
+    TCSIM_CHECK(!pending_wb_);  // Tick-transient, never serialized.
     w.tag(kTagSm);
     w.u64(now_);
     w.b(progress_);
@@ -741,6 +759,7 @@ SM::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
 
     staged_mem_.clear();
     staged_cta_done_.clear();
+    pending_wb_.reset();
     // Derived memo over the shared executor cache: repopulated on the
     // next functional HMMA (restores may target a different Gpu whose
     // ExecutorCache is distinct).

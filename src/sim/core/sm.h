@@ -15,6 +15,7 @@
 #include <deque>
 #include <map>
 #include <memory>
+#include <optional>
 #include <shared_mutex>
 #include <vector>
 
@@ -62,14 +63,18 @@ class SM
      */
     void cycle(uint64_t now);
 
-    // ---- Two-phase tick (deterministic parallel simulation) ----
+    // ---- Three-phase tick (deterministic parallel simulation) ----
     //
-    // Phase A  begin_tick():   drains the MIO heads through the shared
-    //                          MemorySystem.  Engine thread, ascending
-    //                          SM-index order — acceptance/refusal and
-    //                          retry cycles match a serial run exactly.
-    // Phase B  tick_compute(): sub-core writebacks + issue.  Touches
-    //                          only SM-local state, this SM's shard of
+    // Phase A  begin_tick():   drains the global/L1 MIO head through
+    //                          the shared MemorySystem.  Engine thread,
+    //                          ascending SM-index order — acceptance/
+    //                          refusal and retry cycles match a serial
+    //                          run exactly.  A retiring entry's
+    //                          writeback is stashed, not registered.
+    // Phase B  tick_compute(): the shared-memory pipe, the stashed
+    //                          global writeback, then sub-core
+    //                          writebacks + issue.  Touches only
+    //                          SM-local state, this SM's shard of
     //                          per-grid statistics, and SM-local
     //                          staging buffers — safe to run for all
     //                          SMs concurrently.
@@ -80,11 +85,12 @@ class SM
     //                          through global memory replays in the
     //                          same order a serial run produced.
 
-    /** Phase A: start the tick and service the MIO queues. */
+    /** Phase A: start the tick and service the global MIO queue. */
     void begin_tick(uint64_t now);
 
-    /** Phase B: parallel-safe compute; also caches busy()/next_event()
-     *  so the engine's event scan does not touch SM internals. */
+    /** Phase B: parallel-safe compute, including the shared-memory
+     *  MIO queue; also caches busy()/next_event() so the engine's
+     *  event scan does not touch SM internals. */
     void tick_compute(uint64_t now);
 
     /** Phase C: apply this tick's staged side effects.  When
@@ -228,7 +234,10 @@ class SM
     void load_state(SnapshotReader& r, const std::vector<GridRun*>& grids);
 
   private:
-    void process_mio();
+    /** Shared-memory MIO pipe (SM-local; Phase B). */
+    void process_shared_pipe();
+    /** L1/global MIO pipe (touches the MemorySystem; Phase A). */
+    void process_global_pipe();
 
     /** Functional execution of one staged global LDG/STG. */
     void functional_global_access(Warp& w, const Instruction& inst,
@@ -296,6 +305,21 @@ class SM
     /** Why the global head is blocked (memory back-pressure), for
      *  stall attribution when the LSQ backs up to the scheduler. */
     StallReason mio_block_reason_ = StallReason::kNone;
+
+    /** The global pipe's retiring entry (at most one per tick), from
+     *  Phase A until tick_compute registers it after the shared pipe's
+     *  writeback.  Tick-transient: empty between ticks, so snapshots
+     *  never carry it. */
+    struct PendingWriteback
+    {
+        uint64_t done;
+        int subcore;
+        int warp_slot;
+        const Instruction* inst;
+        int iter;
+    };
+    std::optional<PendingWriteback> pending_wb_;
+
     int ctas_completed_ = 0;
 
     /** One global-memory instruction whose functional effect is

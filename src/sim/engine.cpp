@@ -643,22 +643,29 @@ ExecutionEngine::step(uint64_t bound)
             cycled_.push_back(rs.sms[static_cast<size_t>(id)].get());
     }
 
-    // Two-phase tick.  Phase A (engine thread, SM-index order): drain
-    // the MIO heads through the shared memory hierarchy, so every
-    // acceptance/refusal and retry cycle lands in the same canonical
-    // order a serial run produces.
+    // Three-phase tick.  Phase A (engine thread, SM-index order):
+    // drain the global/L1 MIO heads through the shared memory
+    // hierarchy, so every acceptance/refusal and retry cycle lands in
+    // the same canonical order a serial run produces.
     for (SM* sm : cycled_)
         sm->begin_tick(now);
 
-    // Phase B (worker pool): SM-local compute — writebacks, issue,
-    // functional execution into per-SM staging buffers and per-SM
-    // stats shards.  No shared mutable state, so any thread count and
-    // any scheduling of the shards yields identical results.
-    if (threads_ > 1 && !pool_ && cycled_.size() > 1)
-        pool_ = std::make_unique<WorkerPool>(threads_);
+    // Phase B (worker pool): SM-local compute — the shared-memory
+    // pipe, writebacks, issue, functional execution into per-SM
+    // staging buffers and per-SM stats shards.  No shared mutable
+    // state, so any thread count and any assignment of SMs to workers
+    // yields identical results.  Worker t owns the SMs with
+    // id % workers == t, so an SM stays on one core across ticks.
+    // Workers beyond the chip's SM count could never own an SM.
+    const int workers = std::min(threads_, cfg_.num_sms);
+    if (workers > 1 && !pool_ && cycled_.size() > 1)
+        pool_ = std::make_unique<WorkerPool>(workers);
     if (pool_ && cycled_.size() > 1) {
-        pool_->for_n(cycled_.size(),
-                     [&](size_t i) { cycled_[i]->tick_compute(now); });
+        pool_->for_each_worker([&](int t) {
+            for (SM* sm : cycled_)
+                if (sm->id() % workers == t)
+                    sm->tick_compute(now);
+        });
     } else {
         for (SM* sm : cycled_)
             sm->tick_compute(now);

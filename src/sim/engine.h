@@ -34,11 +34,13 @@
  * EngineDeadlockError with the cycle-accurate wait graph.
  *
  * Parallel simulation core (SimOptions::sim_threads): each tick is a
- * two-phase transaction — the MIO drains through the shared memory
- * hierarchy on the engine thread in SM-index order (phase A), the
- * SM-local compute shards across a persistent worker pool (phase B,
- * staging functional global-memory accesses and grid completions into
- * per-SM buffers and writing statistics to per-SM shards), and the
+ * three-phase transaction — the global MIO heads drain through the
+ * shared memory hierarchy on the engine thread in SM-index order
+ * (phase A), the SM-local work (shared-memory pipe, writebacks,
+ * issue) shards across a persistent worker pool with a fixed
+ * SM-to-worker assignment (phase B, staging functional global-memory
+ * accesses and grid completions into per-SM buffers and writing
+ * statistics to per-SM shards), and the
  * staged side effects commit on the engine thread in SM-index order
  * (phase C).  Results are bit-identical for every thread count; see
  * README "Performance" for the determinism argument.
@@ -193,12 +195,13 @@ struct SimOptions
     /**
      * Worker threads for the engine's parallel tick phase, including
      * the engine thread itself (1 = fully serial, 0 = one per
-     * hardware thread).  Results are bit-identical for every value:
-     * each tick shards the SMs across the pool for the compute phase
-     * only, while every interaction with shared state (MIO drains
-     * through the memory hierarchy, staged functional-memory commits,
-     * CTA dispatch and retirement) runs on the engine thread in
-     * canonical SM-index order.  See README "Performance".
+     * hardware thread; the pool never exceeds the chip's SM count).
+     * Results are bit-identical for every value: each tick shards the
+     * SMs across the pool for the compute phase only, while every
+     * interaction with shared state (global MIO drains through the
+     * memory hierarchy, staged functional-memory commits, CTA
+     * dispatch and retirement) runs on the engine thread in canonical
+     * SM-index order.  See README "Performance".
      */
     int sim_threads = 1;
     /**
@@ -596,9 +599,10 @@ class ExecutionEngine
 
     /** Resolved sim_threads (0 -> hardware concurrency). */
     int threads_ = 1;
-    /** Worker pool for the parallel tick phase; created lazily on the
-     *  first tick with enough cycled SMs to shard (so serial configs
-     *  and tiny chips never spawn threads). */
+    /** Worker pool for the parallel tick phase, min(threads_,
+     *  num_sms) workers; created lazily on the first tick with enough
+     *  cycled SMs to shard (so serial configs and single-SM chips
+     *  never spawn threads). */
     std::unique_ptr<WorkerPool> pool_;
     /** Scratch: SMs cycled this tick, ascending SM-index order. */
     std::vector<SM*> cycled_;
