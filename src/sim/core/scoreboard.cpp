@@ -1,6 +1,6 @@
 #include "sim/core/scoreboard.h"
 
-#include "common/logging.h"
+#include <algorithm>
 
 namespace tcsim {
 
@@ -24,53 +24,75 @@ src_span(const Instruction& inst)
     return 1;
 }
 
-}  // namespace
-
-void
-Scoreboard::for_each_dst(const Instruction& inst, auto&& fn)
+/** Call fn(word, mask) for the words covering registers
+ *  [first, first + count); stops early when fn returns true and
+ *  reports whether it did.  A range of up to 64 registers touches at
+ *  most two words. */
+bool
+for_each_word(int first, int count, auto&& fn)
 {
-    if (inst.op == Opcode::kHmma) {
-        for (int r = 0; r < inst.hmma.d_nregs; ++r)
-            fn(inst.hmma.d_reg + r);
-        return;
+    for (int end = first + count; first < end;) {
+        int bit = first & 63;
+        int n = std::min(end - first, 64 - bit);
+        uint64_t mask = (~uint64_t{0} >> (64 - n)) << bit;
+        if (fn(first >> 6, mask))
+            return true;
+        first += n;
     }
-    for (int i = 0; i < inst.n_dst; ++i)
-        for (int r = 0; r < dst_span(inst); ++r)
-            fn(inst.dst[i] + r);
+    return false;
 }
 
-void
+}  // namespace
+
+bool
+Scoreboard::for_each_dst(const Instruction& inst, auto&& fn)
+{
+    if (inst.op == Opcode::kHmma)
+        return fn(inst.hmma.d_reg, inst.hmma.d_nregs);
+    for (int i = 0; i < inst.n_dst; ++i)
+        if (fn(inst.dst[i], dst_span(inst)))
+            return true;
+    return false;
+}
+
+bool
 Scoreboard::for_each_src(const Instruction& inst, auto&& fn)
 {
-    if (inst.op == Opcode::kHmma) {
-        for (int r = 0; r < inst.hmma.a_nregs; ++r)
-            fn(inst.hmma.a_reg + r);
-        for (int r = 0; r < inst.hmma.b_nregs; ++r)
-            fn(inst.hmma.b_reg + r);
-        for (int r = 0; r < inst.hmma.c_nregs; ++r)
-            fn(inst.hmma.c_reg + r);
-        return;
-    }
+    if (inst.op == Opcode::kHmma)
+        return fn(inst.hmma.a_reg, inst.hmma.a_nregs) ||
+               fn(inst.hmma.b_reg, inst.hmma.b_nregs) ||
+               fn(inst.hmma.c_reg, inst.hmma.c_nregs);
     for (int i = 0; i < inst.n_src; ++i)
-        for (int r = 0; r < src_span(inst); ++r)
-            fn(inst.src[i] + r);
+        if (fn(inst.src[i], src_span(inst)))
+            return true;
+    return false;
+}
+
+bool
+Scoreboard::operands_in_range(const Instruction& inst)
+{
+    auto beyond = [](int first, int count) {
+        return first + count > kMaxRegs;
+    };
+    return !for_each_src(inst, beyond) && !for_each_dst(inst, beyond);
 }
 
 bool
 Scoreboard::can_issue(int w, const Instruction& inst) const
 {
-    const auto& bits = pending_[w];
-
     if (inst.op == Opcode::kHmma && !inst.hmma.first_in_group) {
         // Intra-group accumulator reuse is forwarded inside the tensor
         // core; the group issues as a unit once its head clears.
         return true;
     }
 
-    bool ok = true;
-    for_each_src(inst, [&](int reg) { ok = ok && !bits[reg]; });
-    for_each_dst(inst, [&](int reg) { ok = ok && !bits[reg]; });
-    return ok;
+    const Words& p = pending_[w];
+    auto pending = [&](int first, int count) {
+        return for_each_word(first, count, [&](int word, uint64_t mask) {
+            return (p[word] & mask) != 0;
+        });
+    };
+    return !for_each_src(inst, pending) && !for_each_dst(inst, pending);
 }
 
 void
@@ -78,7 +100,13 @@ Scoreboard::issue(int w, const Instruction& inst)
 {
     if (inst.op == Opcode::kHmma && !inst.hmma.first_in_group)
         return;  // D registers were marked by the group head.
-    for_each_dst(inst, [&](int reg) { pending_[w][reg] = true; });
+    Words& p = pending_[w];
+    for_each_dst(inst, [&](int first, int count) {
+        return for_each_word(first, count, [&](int word, uint64_t mask) {
+            p[word] |= mask;
+            return false;
+        });
+    });
 }
 
 void
@@ -86,7 +114,13 @@ Scoreboard::complete(int w, const Instruction& inst)
 {
     if (inst.op == Opcode::kHmma && !inst.hmma.last_in_group)
         return;  // only the group tail releases the D registers
-    for_each_dst(inst, [&](int reg) { pending_[w][reg] = false; });
+    Words& p = pending_[w];
+    for_each_dst(inst, [&](int first, int count) {
+        return for_each_word(first, count, [&](int word, uint64_t mask) {
+            p[word] &= ~mask;
+            return false;
+        });
+    });
 }
 
 }  // namespace tcsim

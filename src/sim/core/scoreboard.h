@@ -8,7 +8,8 @@
  * with wmma.mma instructions".
  */
 
-#include <bitset>
+#include <array>
+#include <cstdint>
 #include <vector>
 
 #include "isa/instruction.h"
@@ -20,13 +21,17 @@ namespace tcsim {
 class Scoreboard
 {
   public:
+    /** Registers tracked per warp; every operand range must end at or
+     *  below this (SM::launch_cta checks each program once). */
+    static constexpr int kMaxRegs = 256;
+
     explicit Scoreboard(int num_warps) : pending_(num_warps) {}
 
     /** Grow tracking state for a newly resident warp. */
     void add_warp() { pending_.emplace_back(); }
 
     /** Clear state when a finished warp's slot is recycled. */
-    void reset_warp(int w) { pending_[w].reset(); }
+    void reset_warp(int w) { pending_[w] = {}; }
 
     /** True if @p inst of warp @p w has no RAW/WAW hazard.  HMMA
      *  instructions that are not first in their group bypass operand
@@ -39,42 +44,49 @@ class Scoreboard
     /** Clear pending destinations at writeback. */
     void complete(int w, const Instruction& inst);
 
-    bool reg_pending(int w, int reg) const { return pending_[w][reg]; }
-    bool any_pending(int w) const { return pending_[w].any(); }
+    bool reg_pending(int w, int reg) const
+    {
+        return (pending_[w][reg >> 6] >> (reg & 63)) & 1;
+    }
+    bool any_pending(int w) const
+    {
+        const Words& p = pending_[w];
+        return (p[0] | p[1] | p[2] | p[3]) != 0;
+    }
 
-    /** Serialize/restore the pending bitsets (snapshot support). */
+    /** True if every register range @p inst reads or writes ends at
+     *  or below kMaxRegs. */
+    static bool operands_in_range(const Instruction& inst);
+
+    /** Serialize/restore the pending sets (snapshot support): four
+     *  words per warp, bit b of word i standing for register 64i+b. */
     void save_state(SnapshotWriter& w) const
     {
         w.u64(pending_.size());
-        for (const auto& bits : pending_)
-            for (int word = 0; word < 4; ++word) {
-                uint64_t v = 0;
-                for (int bit = 0; bit < 64; ++bit)
-                    if (bits[word * 64 + bit])
-                        v |= uint64_t{1} << bit;
+        for (const Words& p : pending_)
+            for (uint64_t v : p)
                 w.u64(v);
-            }
     }
 
     void load_state(SnapshotReader& r)
     {
         pending_.assign(r.u64(), {});
-        for (auto& bits : pending_)
-            for (int word = 0; word < 4; ++word) {
-                uint64_t v = r.u64();
-                for (int bit = 0; bit < 64; ++bit)
-                    if (v & (uint64_t{1} << bit))
-                        bits.set(word * 64 + bit);
-            }
+        for (Words& p : pending_)
+            for (uint64_t& v : p)
+                v = r.u64();
     }
 
   private:
-    /** Destination register ranges of @p inst (HMMA: the D fragment;
-     *  loads: width-derived span). */
-    static void for_each_dst(const Instruction& inst, auto&& fn);
-    static void for_each_src(const Instruction& inst, auto&& fn);
+    using Words = std::array<uint64_t, kMaxRegs / 64>;
 
-    std::vector<std::bitset<256>> pending_;
+    /** Call fn(first, count) for each destination register range of
+     *  @p inst (HMMA: the D fragment; loads: width-derived span) until
+     *  a call returns true; reports whether one did. */
+    static bool for_each_dst(const Instruction& inst, auto&& fn);
+    /** Same for source ranges (HMMA: A, B, C; stores: data span). */
+    static bool for_each_src(const Instruction& inst, auto&& fn);
+
+    std::vector<Words> pending_;
 };
 
 }  // namespace tcsim

@@ -125,6 +125,9 @@ SM::launch_cta(GridRun* grid, int cta_id)
         w->prog = k.trace(cta_id, wi);
         TCSIM_CHECK(!w->prog.empty());
         TCSIM_CHECK(w->prog.back().op == Opcode::kExit);
+        // The scoreboard's fixed-width masks cover kMaxRegs registers.
+        for (const Instruction& inst : w->prog)
+            TCSIM_CHECK(Scoreboard::operands_in_range(inst));
         if (k.functional)
             w->regs = std::make_unique<WarpRegState>(k.regs_per_thread);
         w->grid = grid;

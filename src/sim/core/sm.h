@@ -106,7 +106,12 @@ class SM
 
     /** next_event() as of the end of the last tick_compute(): the
      *  engine's stalled-chip scan reads this O(1) cache instead of
-     *  re-walking sub-core in-flight lists. */
+     *  re-walking sub-core in-flight lists.  Under idle-skip the
+     *  engine also lets a busy SM sleep while this lies ahead of the
+     *  clock (no tick, account_skipped(1) instead): until then only a
+     *  CTA launch can change the SM, and every SM ticks on dispatch
+     *  ticks.  The value stays valid while the SM sleeps because
+     *  nothing else touches it. */
     uint64_t next_event_cached() const { return next_event_cache_; }
 
     // ---- Engine-facing dispatch interface ----

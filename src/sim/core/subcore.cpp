@@ -46,9 +46,13 @@ SubCore::busy() const
 bool
 SubCore::do_writebacks(uint64_t now)
 {
+    if (now < min_done_)
+        return false;
     bool completed = false;
+    uint64_t min_done = UINT64_MAX;
     for (size_t i = 0; i < inflight_.size();) {
         if (inflight_[i].done > now) {
+            min_done = std::min(min_done, inflight_[i].done);
             ++i;
             continue;
         }
@@ -59,6 +63,7 @@ SubCore::do_writebacks(uint64_t now)
 
         Warp& w = *warps_[entry.warp_slot];
         scoreboard_.complete(entry.warp_slot, *entry.inst);
+        w.sb_blocked = false;
         --w.inflight;
         if (entry.inst->macro_id != 0 && entry.inst->macro_end) {
             uint64_t key = Warp::macro_key(entry.inst->macro_id, entry.iter);
@@ -71,6 +76,7 @@ SubCore::do_writebacks(uint64_t now)
         }
         maybe_finish_warp(entry.warp_slot);
     }
+    min_done_ = min_done;
     return completed;
 }
 
@@ -179,9 +185,7 @@ SubCore::try_issue(uint64_t now)
 uint64_t
 SubCore::next_event(uint64_t now) const
 {
-    uint64_t e = UINT64_MAX;
-    for (const auto& f : inflight_)
-        e = std::min(e, f.done);
+    uint64_t e = min_done_;
     if (!active_.empty()) {
         for (const ExecUnit* u : {&fp32_, &int_, &fp64_, &mufu_})
             if (u->next_free() > now)
@@ -222,7 +226,8 @@ SubCore::try_issue_warp(int slot, uint64_t now)
 
     const Instruction& inst = w.prog[w.pc];
 
-    if (!scoreboard_.can_issue(slot, inst)) {
+    if (w.sb_blocked || !scoreboard_.can_issue(slot, inst)) {
+        w.sb_blocked = true;
         last_block_ = StallReason::kScoreboard;
         last_block_grid_ = w.grid;
         return false;
@@ -342,8 +347,9 @@ SubCore::register_writeback(uint64_t done, int warp_slot,
                             const Instruction* inst, int iter)
 {
     // Writebacks at `now` must still complete; nudge to the next cycle.
-    inflight_.push_back(InFlight{std::max(done, sm_->now() + 1), warp_slot,
-                                 inst, iter});
+    done = std::max(done, sm_->now() + 1);
+    inflight_.push_back(InFlight{done, warp_slot, inst, iter});
+    min_done_ = std::min(min_done_, done);
 }
 
 namespace {
@@ -494,6 +500,7 @@ SubCore::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
     mufu_.load_state(r);
     tc_.load_state(r);
     inflight_.clear();
+    min_done_ = UINT64_MAX;
     size_t ninflight = r.u64();
     for (size_t i = 0; i < ninflight; ++i) {
         InFlight f;
@@ -509,6 +516,7 @@ SubCore::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
         f.inst = &owner.prog[idx];
         f.iter = r.i32();
         inflight_.push_back(f);
+        min_done_ = std::min(min_done_, f.done);
     }
     last_issued_ = r.i32();
     lrr_pos_ = r.i32();

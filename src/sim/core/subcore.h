@@ -136,6 +136,11 @@ class SubCore
     ExecUnit mufu_;
     TensorCoreUnit tc_;
     std::vector<InFlight> inflight_;
+    /** Earliest `done` in inflight_ (UINT64_MAX when empty): lets
+     *  do_writebacks skip the scan before anything is due and
+     *  next_event answer without walking the list.  Derived; rebuilt
+     *  by load_state. */
+    uint64_t min_done_ = UINT64_MAX;
     int last_issued_ = -1;
     int lrr_pos_ = 0;
     uint64_t issued_ = 0;

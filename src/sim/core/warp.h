@@ -39,6 +39,12 @@ struct Warp
     WarpState state = WarpState::kReady;
     bool exited = false;      ///< EXIT reached (may still drain).
     int inflight = 0;         ///< Issued instructions not written back.
+    /** The scoreboard refused the instruction at pc.  Pending bits
+     *  clear only at this warp's writebacks and an in-order warp
+     *  cannot issue past it, so the refusal holds until the next
+     *  writeback clears the latch.  Derived, not serialized: a
+     *  restored warp rechecks once. */
+    bool sb_blocked = false;
 
     /** Loop-region execution state (kLoopBegin/kLoopEnd). */
     int iter = 0;

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <utility>
 
 #include "common/logging.h"
 #include "common/sim_error.h"
@@ -626,9 +627,16 @@ ExecutionEngine::step(uint64_t bound)
 
     // Select the SMs that tick this cycle: every SM while CTAs await
     // dispatch (any SM may accept one — and idle SMs' schedulers
-    // record the same kEmpty stalls a serial run did), otherwise only
-    // the busy list.  cycled_ stays in ascending SM-index order: the
-    // serial phases below rely on it for determinism.
+    // record the same kEmpty stalls a serial run did), otherwise the
+    // busy SMs whose own next event has arrived.  A stalled SM sleeps
+    // until then: it changes state only at its next_event (writebacks,
+    // unit and tensor-core ready times, MIO pipe and memory retry
+    // cycles) or through a CTA launch, which only a dispatch tick
+    // makes, so ticking it would re-record the same stall.  It books
+    // that stall instead, as chip-level idle-skip does.  Lockstep
+    // (idle_skip off) ticks every busy SM as the unskipped reference.
+    // cycled_ stays in ascending SM-index order: the serial phases
+    // below rely on it for determinism.
     bool launched = false;
     cycled_.clear();
     if (dispatch_pending) {
@@ -639,8 +647,13 @@ ExecutionEngine::step(uint64_t bound)
         }
     } else {
         cycled_.reserve(rs.busy_sms.size());
-        for (int id : rs.busy_sms)
-            cycled_.push_back(rs.sms[static_cast<size_t>(id)].get());
+        for (int id : rs.busy_sms) {
+            SM* sm = rs.sms[static_cast<size_t>(id)].get();
+            if (opts_.idle_skip && sm->next_event_cached() > now)
+                sm->account_skipped(1);
+            else
+                cycled_.push_back(sm);
+        }
     }
 
     // Three-phase tick.  Phase A (engine thread, SM-index order):
@@ -685,11 +698,19 @@ ExecutionEngine::step(uint64_t bound)
     if (recording)
         record_occupancy(now);
 
-    // The busy list for the next tick (ascending, since cycled_ is).
-    rs.busy_sms.clear();
-    for (SM* sm : cycled_)
-        if (sm->busy_cached())
-            rs.busy_sms.push_back(sm->id());
+    // The busy list for the next tick, ascending.  A dispatch tick
+    // cycled every SM; otherwise the list shrinks by the SMs that
+    // drained, and sleeping SMs stay on it.
+    if (dispatch_pending) {
+        rs.busy_sms.clear();
+        for (SM* sm : cycled_)
+            if (sm->busy_cached())
+                rs.busy_sms.push_back(sm->id());
+    } else {
+        std::erase_if(rs.busy_sms, [&](int id) {
+            return !rs.sms[static_cast<size_t>(id)]->busy_cached();
+        });
+    }
     ++rs.stats.ticks;
 
     // Replayed launches complete by the clock, not by CTA drain: mark
@@ -951,6 +972,15 @@ ExecutionEngine::run(const std::vector<Stream*>& streams)
         return EngineStats{};
     advance([] { return false; }, /*pause_on_block=*/false);
     return last_stats_;
+}
+
+EngineStats
+ExecutionEngine::run_and_take_stats(const std::vector<Stream*>& streams)
+{
+    if (!prepare(streams))
+        return EngineStats{};
+    advance([] { return false; }, /*pause_on_block=*/false);
+    return std::exchange(last_stats_, EngineStats{});
 }
 
 RunProgress

@@ -286,6 +286,10 @@ class ExecutionEngine
      *  (resumes the active run first when one is paused). */
     EngineStats run(const std::vector<Stream*>& streams);
 
+    /** run(), but the statistics move out instead of being copied, so
+     *  stats() and progress() read empty afterwards. */
+    EngineStats run_and_take_stats(const std::vector<Stream*>& streams);
+
     /** Advance the active (or newly begun) run while the engine clock
      *  is <= @p cycle.  Returns where the run stands (stats() has the
      *  full statistics).  Unlike run(), a bounded advance does not

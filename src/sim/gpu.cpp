@@ -86,6 +86,12 @@ Gpu::run()
     return engine_.run(stream_list_);
 }
 
+EngineStats
+Gpu::run_and_take_stats()
+{
+    return engine_.run_and_take_stats(stream_list_);
+}
+
 RunProgress
 Gpu::run_until(uint64_t cycle)
 {

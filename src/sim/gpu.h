@@ -87,6 +87,11 @@ class Gpu
      *  gate work on recorded events.  Resumes a paused run first. */
     EngineStats run();
 
+    /** run() for a Gpu about to be dropped: the statistics move out
+     *  instead of being copied (a serving run's per-kernel statistics
+     *  run to tens of MB), and stats() reads empty afterwards. */
+    EngineStats run_and_take_stats();
+
     /** Advance the current run (beginning one if needed) while the
      *  engine clock is <= @p cycle, then pause.  Returns where the run
      *  stands in O(1); stats() builds the statistics.  Work may be

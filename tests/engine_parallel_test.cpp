@@ -278,6 +278,77 @@ TEST(ParallelIdentity, SharedMemoryCutlassGemm)
     }
 }
 
+TEST(ParallelIdentity, SleepingSmsBesideBusyOnes)
+{
+    // A memory-bound naive GEMM on a constricted hierarchy and a
+    // compute-bound HMMA stress kernel run concurrently on two streams
+    // of one chip, so stalled SMs sleep to their own next event while
+    // others issue every cycle.  Idle-skip (with per-SM sleep) must
+    // match lockstep at every thread count, and a mid-run snapshot
+    // must resume to the uninterrupted result.
+    GpuConfig cfg = mem_bound_config(8);
+    cfg.l1_mshr_entries = 4;
+    cfg.noc_queue_depth = 8;
+    cfg.dram_queue_depth = 4;
+    auto enqueue = [](Gpu& gpu) {
+        GemmKernelConfig kc;
+        kc.m = kc.n = kc.k = 64;  // 2 CTAs
+        kc.functional = false;
+        GemmBuffers buf;
+        buf.a = gpu.mem().alloc(static_cast<uint64_t>(kc.m) * kc.k * 2);
+        buf.b = gpu.mem().alloc(static_cast<uint64_t>(kc.k) * kc.n * 2);
+        buf.c = gpu.mem().alloc(static_cast<uint64_t>(kc.m) * kc.n * 4);
+        buf.d = gpu.mem().alloc(static_cast<uint64_t>(kc.m) * kc.n * 4);
+        gpu.default_stream().enqueue(make_wmma_gemm_naive(kc, buf));
+        gpu.create_stream().enqueue(
+            make_hmma_stress(Arch::kVolta, TcMode::kMixed, 6, 4, 48));
+    };
+    auto run = [&](const SimOptions& opts) {
+        Gpu gpu(cfg, opts);
+        enqueue(gpu);
+        return gpu.run();
+    };
+
+    SimOptions lockstep;
+    lockstep.idle_skip = false;
+    const EngineStats base = run(lockstep);
+
+    // Anti-vacuity: the kernels overlap, the GEMM mostly waits on
+    // memory while the stress kernel mostly issues.
+    ASSERT_EQ(base.kernels.size(), 2u);
+    const bool gemm_first = base.kernels[0].kernel == "wmma_gemm_naive";
+    const LaunchStats& gemm = base.kernels[gemm_first ? 0 : 1];
+    const LaunchStats& stress = base.kernels[gemm_first ? 1 : 0];
+    ASSERT_EQ(stress.kernel, "hmma_stress");
+    EXPECT_LT(gemm.start_cycle, stress.finish_cycle);
+    EXPECT_LT(stress.start_cycle, gemm.finish_cycle);
+    EXPECT_GT(gemm.stalls.cycles(StallReason::kScoreboard) +
+                  gemm.stalls.cycles(StallReason::kMshrFull),
+              gemm.instructions);
+    EXPECT_GT(stress.hmma_instructions, 0u);
+    EXPECT_FALSE(gemm.macro_latency.empty());
+
+    for (bool idle_skip : {true, false}) {
+        for (int threads : {1, 4}) {
+            SCOPED_TRACE("sim_threads=" + std::to_string(threads) +
+                         " idle_skip=" + std::to_string(idle_skip));
+            SimOptions opts;
+            opts.idle_skip = idle_skip;
+            opts.sim_threads = threads;
+            expect_identical(base, run(opts));
+
+            Gpu gpu(cfg, opts);
+            enqueue(gpu);
+            gpu.run_until(base.cycles / 2);
+            ASSERT_TRUE(gpu.run_active());
+            Snapshot snap = gpu.snapshot();
+            Gpu fork(cfg, opts);
+            fork.restore(snap);
+            expect_identical(base, fork.run());
+        }
+    }
+}
+
 TEST(ParallelIdentity, ResumableRunMatchesOneShot)
 {
     // Pausing and resuming with run_until must not perturb the

@@ -550,6 +550,35 @@ TEST(Progress, DrainingSynchronizeKeepsFinalStats)
     EXPECT_EQ(gpu.run().kernels.size(), 1u);
 }
 
+TEST(Progress, RunAndTakeStatsMovesTheFinalStatsOut)
+{
+    // The same statistics run() returns, macro-latency samples
+    // included, but the Gpu keeps no copy.
+    Gpu ref(small_titan_v(2));
+    ref.default_stream().enqueue(stress("a"));
+    ref.default_stream().enqueue(stress("b"));
+    const EngineStats want = ref.run();
+
+    Gpu gpu(small_titan_v(2));
+    gpu.default_stream().enqueue(stress("a"));
+    gpu.default_stream().enqueue(stress("b"));
+    const EngineStats got = gpu.run_and_take_stats();
+    ASSERT_FALSE(want.kernels.empty());
+    EXPECT_FALSE(want.kernels[0].macro_latency.empty());
+    EXPECT_EQ(got.cycles, want.cycles);
+    EXPECT_EQ(got.instructions, want.instructions);
+    EXPECT_EQ(got.ticks, want.ticks);
+    EXPECT_EQ(got.current_cycle, want.current_cycle);
+    ASSERT_EQ(got.kernels.size(), want.kernels.size());
+    for (size_t i = 0; i < want.kernels.size(); ++i) {
+        EXPECT_EQ(got.kernels[i].finish_cycle, want.kernels[i].finish_cycle);
+        EXPECT_EQ(got.kernels[i].macro_latency.size(),
+                  want.kernels[i].macro_latency.size());
+    }
+    EXPECT_TRUE(gpu.stats().kernels.empty());
+    EXPECT_FALSE(gpu.run_active());
+}
+
 TEST(Progress, CallbackWakesParkedStreamsInScanOrder)
 {
     // A stream whose queue ran empty is parked (promotion stops

@@ -103,6 +103,99 @@ TEST(Scoreboard, HmmaGroupSemantics)
     EXPECT_TRUE(sb.can_issue(0, use));
 }
 
+Instruction
+wide(Opcode op, uint8_t reg, int width_bits)
+{
+    Instruction inst;
+    inst.op = op;
+    inst.width_bits = static_cast<uint16_t>(width_bits);
+    if (op == Opcode::kLds || op == Opcode::kLdg) {
+        inst.n_dst = 1;
+        inst.dst[0] = reg;
+    } else {
+        inst.n_src = 1;
+        inst.src[0] = reg;
+    }
+    return inst;
+}
+
+TEST(Scoreboard, RangeStraddlesWordBoundary)
+{
+    // LDS.128 into R62 marks R62..R65: two registers in each of the
+    // first two 64-bit words of the pending set.
+    Scoreboard sb(1);
+    Instruction load = wide(Opcode::kLds, 62, 128);
+    EXPECT_TRUE(sb.can_issue(0, load));
+    sb.issue(0, load);
+    EXPECT_FALSE(sb.reg_pending(0, 61));
+    for (int r = 62; r <= 65; ++r)
+        EXPECT_TRUE(sb.reg_pending(0, r)) << r;
+    EXPECT_FALSE(sb.reg_pending(0, 66));
+    EXPECT_FALSE(sb.can_issue(0, alu(1, 64, 2)));  // RAW in the high word
+    EXPECT_FALSE(sb.can_issue(0, alu(63, 1, 2)));  // WAW in the low word
+    EXPECT_TRUE(sb.can_issue(0, alu(1, 61, 66)));  // both neighbours free
+    // A store whose data span R60..R63 reaches into the load's range.
+    EXPECT_FALSE(sb.can_issue(0, wide(Opcode::kSts, 60, 128)));
+    EXPECT_TRUE(sb.can_issue(0, wide(Opcode::kSts, 56, 128)));
+    sb.complete(0, load);
+    EXPECT_FALSE(sb.any_pending(0));
+    EXPECT_TRUE(sb.can_issue(0, alu(1, 64, 2)));
+}
+
+TEST(Scoreboard, HmmaHeadMarksTailReleasesAcrossWords)
+{
+    // D = R124..R131 straddles the second/third word boundary.
+    Scoreboard sb(1);
+    WmmaRegs regs{.a = 200, .b = 208, .c = 124, .d = 124};
+    auto group = decompose_wmma_mma(Arch::kVolta, TcMode::kMixed,
+                                    kShape16x16x16, regs, Layout::kRowMajor,
+                                    Layout::kRowMajor);
+    ASSERT_GE(group.size(), 3u);
+    sb.issue(0, group.front());
+    for (int r = 124; r <= 131; ++r)
+        EXPECT_TRUE(sb.reg_pending(0, r)) << r;
+    EXPECT_FALSE(sb.reg_pending(0, 123));
+    EXPECT_FALSE(sb.reg_pending(0, 132));
+    // Non-head members neither mark nor release.
+    sb.issue(0, group[1]);
+    sb.complete(0, group.front());
+    sb.complete(0, group[1]);
+    EXPECT_TRUE(sb.reg_pending(0, 124));
+    EXPECT_TRUE(sb.reg_pending(0, 131));
+    // Another head reading the in-flight accumulator is blocked.
+    EXPECT_FALSE(sb.can_issue(0, group.front()));
+    sb.complete(0, group.back());
+    EXPECT_FALSE(sb.any_pending(0));
+    EXPECT_TRUE(sb.can_issue(0, group.front()));
+}
+
+TEST(Scoreboard, NonHeadHmmaBypassesPendingOperands)
+{
+    Scoreboard sb(1);
+    WmmaRegs regs{.a = 20, .b = 28, .c = 4, .d = 4};
+    auto group = decompose_wmma_mma(Arch::kVolta, TcMode::kMixed,
+                                    kShape16x16x16, regs, Layout::kRowMajor,
+                                    Layout::kRowMajor);
+    // A load still filling the A fragment blocks only the head.
+    sb.issue(0, wide(Opcode::kLds, 20, 128));
+    EXPECT_FALSE(sb.can_issue(0, group.front()));
+    for (size_t i = 1; i < group.size(); ++i)
+        EXPECT_TRUE(sb.can_issue(0, group[i])) << i;
+}
+
+TEST(Scoreboard, OperandRangeBound)
+{
+    EXPECT_TRUE(Scoreboard::operands_in_range(wide(Opcode::kLds, 252, 128)));
+    EXPECT_FALSE(Scoreboard::operands_in_range(wide(Opcode::kLds, 254, 128)));
+    EXPECT_FALSE(Scoreboard::operands_in_range(wide(Opcode::kSts, 255, 64)));
+    EXPECT_TRUE(Scoreboard::operands_in_range(alu(255, 254, 253)));
+    WmmaRegs regs{.a = 20, .b = 28, .c = 4, .d = 250};
+    auto group = decompose_wmma_mma(Arch::kVolta, TcMode::kMixed,
+                                    kShape16x16x16, regs, Layout::kRowMajor,
+                                    Layout::kRowMajor);
+    EXPECT_FALSE(Scoreboard::operands_in_range(group.front()));
+}
+
 TEST(Scheduler, GtoPrefersLastIssued)
 {
     WarpScheduler s(SchedulerPolicy::kGto);
