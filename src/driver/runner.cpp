@@ -4,7 +4,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <map>
 #include <memory>
 #include <set>
 #include <thread>
@@ -323,11 +322,9 @@ resolve_serve_metric(const ScenarioResult& r, const std::string& field,
     // Resilience outcomes exist only when the scenario declared a
     // serving.resilience object (reports stay byte-identical
     // otherwise).
-    for (const char* m : {"deadline_miss", "goodput", "retries", "shed",
-                          "dropped", "killed_batches"})
-        if (field == m && !s.resilience)
-            throw ScenarioError("metric \"" + path +
-                                "\" needs a serving.resilience object");
+    if (is_resilience_serve_metric(field) && !s.resilience)
+        throw ScenarioError("metric \"" + path +
+                            "\" needs a serving.resilience object");
     if (field == "deadline_miss")
         return s.deadline_miss;
     if (field == "goodput")
@@ -433,34 +430,27 @@ spec_flops(const KernelSpec& spec)
                              spec.wmma_per_warp);
 }
 
-/** The scenario's non-zero stream ids, ascending: position in this
- *  list + 1 is the dense engine stream id — the mapping both the cold
- *  path (create_stream order) and the fork path (stream_by_id after
- *  restore) must agree on. */
-std::vector<int>
-nonzero_stream_ids(const std::vector<KernelSpec>& kernels)
+/** Engine streams for @p kernels, indexed by KernelSpec::stream: the
+ *  default stream first, then one created stream per compiled stream
+ *  id (the compiler numbers them densely from 1). */
+std::vector<Stream*>
+open_streams(Gpu* gpu, const std::vector<KernelSpec>& kernels)
 {
-    std::vector<int> ids;
+    std::vector<Stream*> streams{&gpu->default_stream()};
     for (const KernelSpec& spec : kernels)
-        if (spec.stream != 0)
-            ids.push_back(spec.stream);
-    std::sort(ids.begin(), ids.end());
-    ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
-    return ids;
+        while (static_cast<int>(streams.size()) <= spec.stream)
+            streams.push_back(&gpu->create_stream());
+    return streams;
 }
 
 /**
- * Wire the dependency DAG and enqueue @p prepared in declaration
- * order: named events find-or-create (a fork finds prefix events the
- * restore recreated); "sync" joins every stream with earlier launches
- * through per-join auto events.  @p launches_on counts enqueued
- * launches per scenario stream id — a fork seeds it with the prefix's
- * counts so joins still cover prefix-only streams.
+ * Enqueue @p prepared in declaration order, with each launch's waits
+ * before it and its record after it.  Named events find-or-create, so
+ * a fork finds the prefix events its restore recreated.
  */
 void
 enqueue_kernels(Gpu* gpu, std::vector<PreparedKernel>* prepared,
-                const std::map<int, Stream*>& streams,
-                std::map<int, int>* launches_on)
+                const std::vector<Stream*>& streams)
 {
     auto named_event = [&](const std::string& name) -> Event& {
         Event* ev = gpu->find_event(name);
@@ -468,28 +458,16 @@ enqueue_kernels(Gpu* gpu, std::vector<PreparedKernel>* prepared,
     };
     for (PreparedKernel& pk : *prepared) {
         const KernelSpec& spec = *pk.spec;
-        Stream* stream = streams.at(spec.stream);
-        if (spec.sync) {
-            for (auto& [sid, other] : streams) {
-                if (other == stream || (*launches_on)[sid] == 0)
-                    continue;
-                Event& join = gpu->create_event(
-                    "sync:" + spec.name + ":s" + std::to_string(sid));
-                other->record(join);
-                stream->wait(join);
-            }
-        }
+        Stream* stream = streams.at(static_cast<size_t>(spec.stream));
         for (const std::string& e : spec.wait_events)
             stream->wait(named_event(e));
         stream->enqueue(std::move(pk.desc));
         if (!spec.record_event.empty())
             stream->record(named_event(spec.record_event));
-        ++(*launches_on)[spec.stream];
     }
 }
 
-/** Completion stamps of the scenario's named events (not the "sync:"
- *  auto joins), name order. */
+/** Completion stamps of the scenario's named events, name order. */
 void
 collect_events(ScenarioResult* r, const Scenario& scenario, Gpu* gpu)
 {
@@ -620,13 +598,122 @@ evaluate(const ScenarioResult& r, const Expectation& e)
     return a;
 }
 
+/**
+ * The one way a result is finished: run @p body to fill @p r, evaluate
+ * @p expect against it (after any assertion @p body added), and set
+ * passed.  An exception from either becomes r.error.  The wall-clock
+ * fields cover the whole call.
+ */
+template <typename Body>
+ScenarioResult
+run_and_evaluate(ScenarioResult r, const std::vector<Expectation>& expect,
+                 Body&& body)
+{
+    using clock = std::chrono::steady_clock;
+    const auto t0 = clock::now();
+    try {
+        body(&r);
+        for (const Expectation& e : expect)
+            r.assertions.push_back(evaluate(r, e));
+        r.passed = std::all_of(
+            r.assertions.begin(), r.assertions.end(),
+            [](const AssertionResult& a) { return a.passed; });
+    } catch (const std::exception& e) {
+        r.error = e.what();
+        r.passed = false;
+    }
+    r.wall_ms =
+        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
+    if (r.wall_ms > 0.0)
+        r.ticks_per_sec =
+            static_cast<double>(r.totals.ticks) / (r.wall_ms / 1000.0);
+    return r;
+}
+
+/** Call fn(i) for every i in [0, n): inline when @p workers <= 1,
+ *  else on min(workers, n) threads that claim indices from a shared
+ *  counter (callers write disjoint slots per index). */
+template <typename Fn>
+void
+parallel_for(size_t n, int workers, Fn&& fn)
+{
+    const size_t nthreads = std::min<size_t>(std::max(workers, 1), n);
+    if (nthreads <= 1) {
+        for (size_t i = 0; i < n; ++i)
+            fn(i);
+        return;
+    }
+    std::atomic<size_t> next{0};
+    std::vector<std::thread> threads;
+    threads.reserve(nthreads);
+    for (size_t t = 0; t < nthreads; ++t)
+        threads.emplace_back([&] {
+            for (size_t i = next++; i < n; i = next++)
+                fn(i);
+        });
+    for (std::thread& t : threads)
+        t.join();
+}
+
+/** The kernel-list path of run_scenario: prepare, enqueue and run
+ *  every kernel, then verify the functional ones. */
+void
+run_kernels(const Scenario& scenario, const GpuConfig& cfg,
+            const SimOptions& sim, ScenarioResult* result)
+{
+    Gpu gpu(cfg, sim, scenario.faults);
+
+    std::vector<PreparedKernel> prepared;
+    prepared.reserve(scenario.kernels.size());
+    for (const KernelSpec& spec : scenario.kernels) {
+        prepared.push_back(prepare_kernel(spec, cfg.arch, &gpu.mem()));
+        check_kernel_fits(cfg, prepared.back().desc);
+    }
+    enqueue_kernels(&gpu, &prepared, open_streams(&gpu, scenario.kernels));
+
+    result->totals = gpu.run();
+
+    result->has_faults = gpu.faults_enabled();
+    if (result->has_faults)
+        result->fault_counters = gpu.fault_counters();
+
+    collect_events(result, scenario, &gpu);
+    attribute_kernels(result, scenario, cfg);
+
+    // Verify functional kernels against the host reference
+    // (prepared[i] pairs with result->kernels[i]: both follow
+    // declaration order).
+    for (size_t i = 0; i < prepared.size(); ++i) {
+        if (!prepared[i].setup)
+            continue;
+        KernelResult& kr = result->kernels[i];
+        kr.verify_rel_err =
+            prepared[i].setup->verify(gpu.mem(), prepared[i].buf.d);
+        result->verify_max_rel_err =
+            std::max(result->verify_max_rel_err, kr.verify_rel_err);
+    }
+
+    // Implicit assertion: every functional kernel verifies within the
+    // scenario tolerance.
+    if (result->verify_max_rel_err >= 0) {
+        AssertionResult a;
+        a.metric = "verify.max_rel_err";
+        a.value = result->verify_max_rel_err;
+        a.passed = result->verify_max_rel_err <= scenario.verify_tolerance;
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "<= %.3g (verify_tolerance)",
+                      scenario.verify_tolerance);
+        a.detail = buf;
+        result->assertions.push_back(std::move(a));
+    }
+}
+
 }  // namespace
 
 ScenarioResult
 run_scenario(const Scenario& scenario, int sim_threads_override,
              const ReplayOverride& replay, uint64_t wall_budget_ms)
 {
-    using clock = std::chrono::steady_clock;
     ScenarioResult result;
     result.name = scenario.name;
     result.file = scenario.file;
@@ -642,101 +729,16 @@ run_scenario(const Scenario& scenario, int sim_threads_override,
     result.replay_mode = static_cast<int>(sim.replay_mode);
     result.sim_threads =
         sim.sim_threads > 0 ? sim.sim_threads : hardware_threads();
-    auto t0 = clock::now();
 
-    try {
-        GpuConfig cfg = scenario.gpu_config();
-        result.clock_ghz = cfg.clock_ghz;
-
-        if (scenario.is_serving()) {
-            run_serving_scenario(scenario, cfg, sim, &result);
-            for (const Expectation& e : scenario.expect)
-                result.assertions.push_back(evaluate(result, e));
-            result.passed = true;
-            for (const AssertionResult& a : result.assertions)
-                result.passed &= a.passed;
-            result.wall_ms = std::chrono::duration<double, std::milli>(
-                                 clock::now() - t0)
-                                 .count();
-            if (result.wall_ms > 0.0)
-                result.ticks_per_sec =
-                    static_cast<double>(result.totals.ticks) /
-                    (result.wall_ms / 1000.0);
-            return result;
-        }
-
-        Gpu gpu(cfg, sim, scenario.faults);
-
-        std::vector<PreparedKernel> prepared;
-        prepared.reserve(scenario.kernels.size());
-        for (const KernelSpec& spec : scenario.kernels) {
-            prepared.push_back(prepare_kernel(spec, cfg.arch, &gpu.mem()));
-            check_kernel_fits(cfg, prepared.back().desc);
-        }
-
-        // Map scenario stream ids onto engine streams: 0 is the
-        // implicit stream; the rest are created in ascending id order
-        // so engine dispatch priority is deterministic.
-        std::map<int, Stream*> streams;
-        streams[0] = &gpu.default_stream();
-        for (int id : nonzero_stream_ids(scenario.kernels))
-            streams[id] = &gpu.create_stream();
-
-        std::map<int, int> launches_on;  ///< Enqueued launches per stream.
-        enqueue_kernels(&gpu, &prepared, streams, &launches_on);
-
-        result.totals = gpu.run();
-
-        result.has_faults = gpu.faults_enabled();
-        if (result.has_faults)
-            result.fault_counters = gpu.fault_counters();
-
-        collect_events(&result, scenario, &gpu);
-        attribute_kernels(&result, scenario, cfg);
-
-        // Verify functional kernels against the host reference
-        // (prepared[i] pairs with result.kernels[i]: both follow
-        // declaration order).
-        for (size_t i = 0; i < prepared.size(); ++i) {
-            if (!prepared[i].setup)
-                continue;
-            KernelResult& kr = result.kernels[i];
-            kr.verify_rel_err =
-                prepared[i].setup->verify(gpu.mem(), prepared[i].buf.d);
-            result.verify_max_rel_err =
-                std::max(result.verify_max_rel_err, kr.verify_rel_err);
-        }
-
-        // Implicit assertion: every functional kernel verifies within
-        // the scenario tolerance.
-        if (result.verify_max_rel_err >= 0) {
-            AssertionResult a;
-            a.metric = "verify.max_rel_err";
-            a.value = result.verify_max_rel_err;
-            a.passed = result.verify_max_rel_err <= scenario.verify_tolerance;
-            char buf[64];
-            std::snprintf(buf, sizeof(buf), "<= %.3g (verify_tolerance)",
-                          scenario.verify_tolerance);
-            a.detail = buf;
-            result.assertions.push_back(std::move(a));
-        }
-        for (const Expectation& e : scenario.expect)
-            result.assertions.push_back(evaluate(result, e));
-
-        result.passed = true;
-        for (const AssertionResult& a : result.assertions)
-            result.passed &= a.passed;
-    } catch (const std::exception& e) {
-        result.error = e.what();
-        result.passed = false;
-    }
-
-    result.wall_ms =
-        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-    if (result.wall_ms > 0.0)
-        result.ticks_per_sec = static_cast<double>(result.totals.ticks) /
-                               (result.wall_ms / 1000.0);
-    return result;
+    return run_and_evaluate(
+        std::move(result), scenario.expect, [&](ScenarioResult* r) {
+            GpuConfig cfg = scenario.gpu_config();
+            r->clock_ghz = cfg.clock_ghz;
+            if (scenario.is_serving())
+                run_serving_scenario(scenario, cfg, sim, r);
+            else
+                run_kernels(scenario, cfg, sim, r);
+        });
 }
 
 namespace {
@@ -754,7 +756,6 @@ ScenarioResult
 run_forked_point(const Scenario& sc, size_t index, const GpuConfig& cfg,
                  const SimOptions& sim, const Snapshot& snap)
 {
-    using clock = std::chrono::steady_clock;
     Scenario merged = materialize_sweep_point(sc, index);
     ScenarioResult result;
     result.name = merged.name;
@@ -762,59 +763,29 @@ run_forked_point(const Scenario& sc, size_t index, const GpuConfig& cfg,
     result.sim_threads =
         sim.sim_threads > 0 ? sim.sim_threads : hardware_threads();
     result.replay_mode = static_cast<int>(sim.replay_mode);
-    auto t0 = clock::now();
 
-    try {
-        result.clock_ghz = cfg.clock_ghz;
-        Gpu gpu(cfg, sim);
-        gpu.restore(snap);
+    return run_and_evaluate(
+        std::move(result), merged.expect, [&](ScenarioResult* r) {
+            r->clock_ghz = cfg.clock_ghz;
+            Gpu gpu(cfg, sim);
+            gpu.restore(snap);
 
-        const size_t n_prefix = sc.kernels.size();
-        std::vector<PreparedKernel> prepared;
-        prepared.reserve(merged.kernels.size() - n_prefix);
-        for (size_t i = n_prefix; i < merged.kernels.size(); ++i) {
-            prepared.push_back(
-                prepare_kernel(merged.kernels[i], cfg.arch, &gpu.mem()));
-            check_kernel_fits(cfg, prepared.back().desc);
-        }
+            const size_t n_prefix = sc.kernels.size();
+            std::vector<PreparedKernel> prepared;
+            prepared.reserve(merged.kernels.size() - n_prefix);
+            for (size_t i = n_prefix; i < merged.kernels.size(); ++i) {
+                prepared.push_back(
+                    prepare_kernel(merged.kernels[i], cfg.arch, &gpu.mem()));
+                check_kernel_fits(cfg, prepared.back().desc);
+            }
+            // Sweeps are plain: every point kernel joins the restored
+            // default stream behind the prefix.
+            enqueue_kernels(&gpu, &prepared,
+                            open_streams(&gpu, merged.kernels));
 
-        // Rebuild the prefix's scenario-id → engine-stream mapping on
-        // the restored stream set (points may not mint new ids, so the
-        // prefix's mapping covers every point kernel).
-        std::map<int, Stream*> streams;
-        streams[0] = &gpu.stream_by_id(0);
-        std::vector<int> ids = nonzero_stream_ids(sc.kernels);
-        for (size_t i = 0; i < ids.size(); ++i)
-            streams[ids[i]] = &gpu.stream_by_id(static_cast<int>(i) + 1);
-
-        // Seed per-stream launch counts with the prefix's so a point
-        // "sync" still joins prefix-only streams.
-        std::map<int, int> launches_on;
-        for (size_t i = 0; i < n_prefix; ++i)
-            ++launches_on[merged.kernels[i].stream];
-
-        enqueue_kernels(&gpu, &prepared, streams, &launches_on);
-
-        result.totals = gpu.run();
-
-        collect_events(&result, merged, &gpu);
-        attribute_kernels(&result, merged, cfg);
-        for (const Expectation& e : merged.expect)
-            result.assertions.push_back(evaluate(result, e));
-        result.passed = true;
-        for (const AssertionResult& a : result.assertions)
-            result.passed &= a.passed;
-    } catch (const std::exception& e) {
-        result.error = e.what();
-        result.passed = false;
-    }
-
-    result.wall_ms =
-        std::chrono::duration<double, std::milli>(clock::now() - t0).count();
-    if (result.wall_ms > 0.0)
-        result.ticks_per_sec = static_cast<double>(result.totals.ticks) /
-                               (result.wall_ms / 1000.0);
-    return result;
+            r->totals = gpu.run();
+            attribute_kernels(r, merged, cfg);
+        });
 }
 
 }  // namespace
@@ -887,31 +858,8 @@ run_sweep(const Scenario& scenario, int jobs, int sim_threads_override,
         return out;
     }
 
-    auto for_each_point = [&](auto&& fn) {
-        size_t nthreads = std::min<size_t>(std::max(jobs, 1), npts);
-        if (nthreads <= 1) {
-            for (size_t i = 0; i < npts; ++i)
-                fn(i);
-            return;
-        }
-        std::atomic<size_t> next{0};
-        std::vector<std::thread> threads;
-        threads.reserve(nthreads);
-        for (size_t t = 0; t < nthreads; ++t)
-            threads.emplace_back([&] {
-                for (;;) {
-                    size_t i = next.fetch_add(1);
-                    if (i >= npts)
-                        return;
-                    fn(i);
-                }
-            });
-        for (std::thread& t : threads)
-            t.join();
-    };
-
     if (cold_sweep) {
-        for_each_point([&](size_t i) {
+        parallel_for(npts, jobs, [&](size_t i) {
             Scenario merged = materialize_sweep_point(scenario, i);
             merged.sim = sim;
             stamp(i, run_scenario(merged));
@@ -931,12 +879,8 @@ run_sweep(const Scenario& scenario, int jobs, int sim_threads_override,
             prepared.push_back(prepare_kernel(spec, cfg.arch, &prefix.mem()));
             check_kernel_fits(cfg, prepared.back().desc);
         }
-        std::map<int, Stream*> streams;
-        streams[0] = &prefix.default_stream();
-        for (int id : nonzero_stream_ids(scenario.kernels))
-            streams[id] = &prefix.create_stream();
-        std::map<int, int> launches_on;
-        enqueue_kernels(&prefix, &prepared, streams, &launches_on);
+        enqueue_kernels(&prefix, &prepared,
+                        open_streams(&prefix, scenario.kernels));
 
         prefix.run_until(scenario.sweep.fork_cycle);
         if (!prefix.run_active())
@@ -951,7 +895,7 @@ run_sweep(const Scenario& scenario, int jobs, int sim_threads_override,
         return out;
     }
 
-    for_each_point([&](size_t i) {
+    parallel_for(npts, jobs, [&](size_t i) {
         stamp(i, run_forked_point(scenario, i, cfg, sim, snap));
     });
     return out;
@@ -1040,8 +984,8 @@ run_batch(const std::vector<Scenario>& scenarios, const BatchOptions& opts)
     std::atomic<bool> stop{false};
 
     // @p point_jobs: batch workers already saturated the budget when
-    // > 1 scenario is in flight, so only the serial branch lets a
-    // sweep fan its points out.
+    // > 1 scenario is in flight, so only a lone scenario lets a sweep
+    // fan its points out.
     auto run_slot = [&](size_t i, int point_jobs) {
         const Scenario& sc = scenarios[i];
         if (stop.load(std::memory_order_relaxed)) {
@@ -1060,30 +1004,10 @@ run_batch(const std::vector<Scenario>& scenarios, const BatchOptions& opts)
                     stop.store(true, std::memory_order_relaxed);
     };
 
-    if (report.jobs == 1 || scenarios.size() <= 1) {
-        for (size_t i = 0; i < scenarios.size(); ++i)
-            run_slot(i, report.jobs);
-    } else {
-        // One simulator instance per in-flight scenario; workers pull
-        // indices from a shared counter and write disjoint slots.
-        std::atomic<size_t> next{0};
-        auto worker = [&] {
-            for (;;) {
-                size_t i = next.fetch_add(1);
-                if (i >= scenarios.size())
-                    return;
-                run_slot(i, 1);
-            }
-        };
-        size_t nthreads =
-            std::min<size_t>(report.jobs, scenarios.size());
-        std::vector<std::thread> threads;
-        threads.reserve(nthreads);
-        for (size_t t = 0; t < nthreads; ++t)
-            threads.emplace_back(worker);
-        for (std::thread& t : threads)
-            t.join();
-    }
+    // One simulator instance per in-flight scenario.
+    const int point_jobs = scenarios.size() <= 1 ? report.jobs : 1;
+    parallel_for(scenarios.size(), report.jobs,
+                 [&](size_t i) { run_slot(i, point_jobs); });
 
     for (std::vector<ScenarioResult>& slot : slots)
         for (ScenarioResult& r : slot)
@@ -1131,8 +1055,8 @@ report_to_json(const BatchReport& report)
         }
 
         // Simulation-speed telemetry (CI artifacts chart speedups from
-        // these).  Wall-clock shaped: tools/report_diff.py strips the
-        // whole "sim" key, so run-dependent fields belong in here —
+        // these).  Wall-clock shaped: tools/gate.py strips the whole
+        // "sim" key, so run-dependent fields belong in here —
         // everything outside it must be identical across runs
         // (including "forked": the fork-identity leg diffs a forked
         // sweep against a cold one).

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <set>
 
-#include "common/logging.h"
 #include "kernels/kernel_registry.h"
 #include "model/model_graph.h"
 
@@ -91,12 +90,13 @@ parse_scheduler(const std::string& s, const std::string& file)
     fail(file, "bad scheduler \"" + s + "\" (want gto | lrr | two_level)");
 }
 
+/** Parse one kernel object.  @p where is its full path in the
+ *  document ("kernels[2]", "sweep.points[1].kernels[0]"); @p index
+ *  names an unnamed kernel. */
 KernelSpec
-parse_kernel(const JsonValue& obj, size_t index, const std::string& file,
-             bool declarative = false)
+parse_kernel(const JsonValue& obj, size_t index, std::string where,
+             const std::string& file, bool declarative = false)
 {
-    std::string where = "kernels[" + std::to_string(index) + "]";
-
     KernelSpec spec;
     spec.line = obj.line();
     spec.col = obj.col();
@@ -109,46 +109,50 @@ parse_kernel(const JsonValue& obj, size_t index, const std::string& file,
         fail(file, where + ": unknown kernel \"" + spec.family +
                        "\" (known: " + kernel_family_names() + ")");
 
+    // Dependencies are stated one way: read/write sets over a tensor
+    // arena, from which the compiler derives streams and events.  Only
+    // that form keeps record_event (event naming) and wait_event (an
+    // audited annotation).
+    where += " (" + spec.family + ")";
+    std::vector<const char*> plumbing = {"stream", "sync"};
+    if (!declarative) {
+        plumbing.push_back("record_event");
+        plumbing.push_back("wait_event");
+        if (obj.find("reads") || obj.find("writes"))
+            fail(file, where +
+                           ": \"reads\"/\"writes\" belong to the "
+                           "declarative form (a scenario with a "
+                           "\"tensors\" arena); sweep points take plain "
+                           "kernels");
+    }
+    for (const char* key : plumbing)
+        if (obj.find(key))
+            fail(file, where + ": no \"" + key +
+                           "\" key: state dependencies with a \"tensors\" "
+                           "arena plus per-kernel \"reads\"/\"writes\", and "
+                           "the task-graph compiler derives streams and "
+                           "events");
+
     // Strict schema: only keys the selected family actually honours
     // are accepted, so an ignored "warps_per_cta" on wmma_shared (the
     // builder fixes 8 warps) is an error rather than a silent no-op.
-    // The synchronization keys apply to every family.  Mode-dependent
-    // keys: the declarative form derives streams and ordering, so
-    // "stream"/"sync" are rejected there; "reads"/"writes" are only
-    // meaningful there.
-    where += " (" + spec.family + ")";
-    if (declarative) {
-        if (obj.find("stream") || obj.find("sync"))
-            fail(file, where +
-                           ": declarative scenarios derive stream "
-                           "assignment and ordering from reads/writes; "
-                           "remove \"stream\"/\"sync\"");
-    } else if (obj.find("reads") || obj.find("writes")) {
-        fail(file, where +
-                       ": \"reads\"/\"writes\" belong to the declarative "
-                       "form (a scenario with a \"tensors\" arena); sweep "
-                       "points use the explicit stream/event form");
-    }
     if (info->family == KernelFamily::kWmmaNaive) {
         check_keys(obj,
-                   {"kernel", "name", "stream", "m", "n", "k", "mode",
-                    "a_layout", "b_layout", "cd_layout", "functional",
-                    "warps_per_cta", "wait_event", "record_event", "sync",
-                    "reads", "writes"},
+                   {"kernel", "name", "m", "n", "k", "mode", "a_layout",
+                    "b_layout", "cd_layout", "functional", "warps_per_cta",
+                    "wait_event", "record_event", "reads", "writes"},
                    where, file);
     } else if (info->is_gemm) {
         check_keys(obj,
-                   {"kernel", "name", "stream", "m", "n", "k", "mode",
-                    "a_layout", "b_layout", "cd_layout", "functional",
-                    "wait_event", "record_event", "sync", "reads",
-                    "writes"},
+                   {"kernel", "name", "m", "n", "k", "mode", "a_layout",
+                    "b_layout", "cd_layout", "functional", "wait_event",
+                    "record_event", "reads", "writes"},
                    where, file);
     } else {
         check_keys(obj,
-                   {"kernel", "name", "stream", "mode", "ctas",
-                    "warps_per_cta", "wmma_per_warp", "accumulators",
-                    "wait_event", "record_event", "sync", "reads",
-                    "writes"},
+                   {"kernel", "name", "mode", "ctas", "warps_per_cta",
+                    "wmma_per_warp", "accumulators", "wait_event",
+                    "record_event", "reads", "writes"},
                    where, file);
     }
 
@@ -171,9 +175,6 @@ parse_kernel(const JsonValue& obj, size_t index, const std::string& file,
 
     spec.name = get_string(obj, "name",
                            spec.family + "_" + std::to_string(index));
-    spec.stream = get_int(obj, "stream", 0, file);
-    if (spec.stream < 0 || spec.stream > 63)
-        fail(file, where + ": stream must be in [0, 63]");
 
     spec.m = get_int(obj, "m", spec.m, file);
     spec.n = get_int(obj, "n", spec.n, file);
@@ -205,8 +206,6 @@ parse_kernel(const JsonValue& obj, size_t index, const std::string& file,
             if (e.empty())
                 fail(file, where + ": wait_event names must be non-empty");
     }
-    if (const JsonValue* v = obj.find("sync"))
-        spec.sync = v->as_bool();
 
     if (info->is_gemm) {
         if (spec.m <= 0 || spec.n <= 0 || spec.k <= 0)
@@ -342,7 +341,7 @@ parse_sweep_into(Scenario* sc, const JsonValue& obj, const std::string& file)
         fail(file, "\"sweep\" must be a JSON object");
     if (sc->declarative)
         fail(file, "sweep: declarative scenarios do not support sweeps "
-                   "(points extend the explicit stream/event form)");
+                   "(points extend a plain kernel list)");
     check_keys(obj, {"fork_cycle", "points"}, "sweep", file);
 
     const JsonValue* fc = obj.find("fork_cycle");
@@ -358,17 +357,13 @@ parse_sweep_into(Scenario* sc, const JsonValue& obj, const std::string& file)
     // commits would have to be replayed per fork), and the prefix must
     // still be in flight at the fork — which the runner checks at run
     // time, since it depends on simulated timing.
-    std::set<std::string> base_names, base_recorded;
-    std::set<int> base_streams;
+    std::set<std::string> base_names;
     for (const KernelSpec& k : sc->kernels) {
         if (k.functional)
             fail(file, "sweep: prefix kernel \"" + k.name +
                            "\" is functional; sweeps are timing-only "
                            "(forks share one copy-on-write memory image)");
         base_names.insert(k.name);
-        base_streams.insert(k.stream);
-        if (!k.record_event.empty())
-            base_recorded.insert(k.record_event);
     }
 
     const JsonValue* points = obj.find("points");
@@ -394,43 +389,26 @@ parse_sweep_into(Scenario* sc, const JsonValue& obj, const std::string& file)
         if (!pk || !pk->is_array() || pk->as_array().empty())
             fail(file, where + " needs a non-empty \"kernels\" array");
         std::set<std::string> names = base_names;
-        std::set<std::string> recorded = base_recorded;
         for (size_t i = 0; i < pk->as_array().size(); ++i) {
-            KernelSpec spec = parse_kernel(pk->as_array()[i], i, file);
+            KernelSpec spec = parse_kernel(
+                pk->as_array()[i], i,
+                where + ".kernels[" + std::to_string(i) + "]", file);
             if (spec.functional)
                 fail(file, where + ": kernel \"" + spec.name +
                                "\" is functional; sweeps are timing-only");
-            // Streams are part of the forked snapshot: a point may
-            // reuse prefix streams (or the implicit stream 0) but
-            // cannot mint new ids, which would not exist in the
-            // restored state.
-            if (spec.stream != 0 && !base_streams.count(spec.stream))
-                fail(file, where + ": kernel \"" + spec.name +
-                               "\" uses stream " +
-                               std::to_string(spec.stream) +
-                               ", which the prefix never uses");
             if (!names.insert(spec.name).second)
                 fail(file, where + ": kernel name \"" + spec.name +
                                "\" collides with the prefix or this point");
-            if (!spec.record_event.empty())
-                recorded.insert(spec.record_event);
             pt.kernels.push_back(std::move(spec));
         }
-        for (const KernelSpec& k : pt.kernels)
-            for (const std::string& e : k.wait_events)
-                if (!recorded.count(e))
-                    fail(file, where + ": kernel \"" + k.name +
-                                   "\" waits on event \"" + e +
-                                   "\" recorded by neither the prefix "
-                                   "nor this point");
 
         if (const JsonValue* expect = pobj.find("expect")) {
             for (size_t i = 0; i < expect->as_array().size(); ++i) {
                 Expectation e =
                     parse_expectation(expect->as_array()[i], i, file);
                 validate_expectation(e, names, /*functional_names=*/{},
-                                     recorded, /*any_functional=*/false,
-                                     file);
+                                     /*recorded_events=*/{},
+                                     /*any_functional=*/false, file);
                 pt.expect.push_back(std::move(e));
             }
         }
@@ -1025,6 +1003,16 @@ apply_gpu_override(GpuConfig* cfg, const std::string& key, double value)
     f->apply(cfg, value);
 }
 
+bool
+is_resilience_serve_metric(const std::string& field)
+{
+    for (const char* m : {"deadline_miss", "goodput", "retries", "shed",
+                          "dropped", "killed_batches"})
+        if (field == m)
+            return true;
+    return false;
+}
+
 uint64_t
 us_to_cycles(double us, double clock_ghz)
 {
@@ -1188,14 +1176,12 @@ parse_scenario(const JsonValue& doc, const std::string& file)
                 if (e.metric.rfind("fault.", 0) == 0 && !sc.has_faults())
                     fail(file, "metric \"" + e.metric +
                                    "\": needs a \"faults\" object");
-                for (const char* m :
-                     {"serve.deadline_miss", "serve.goodput",
-                      "serve.retries", "serve.shed", "serve.dropped",
-                      "serve.killed_batches"})
-                    if (e.metric == m && !sc.serving.resilience)
-                        fail(file, "metric \"" + e.metric +
-                                       "\": needs a serving.resilience "
-                                       "object");
+                if (e.metric.rfind("serve.", 0) == 0 &&
+                    is_resilience_serve_metric(e.metric.substr(6)) &&
+                    !sc.serving.resilience)
+                    fail(file, "metric \"" + e.metric +
+                                   "\": needs a serving.resilience "
+                                   "object");
                 sc.expect.push_back(std::move(e));
             }
         }
@@ -1284,18 +1270,14 @@ parse_scenario(const JsonValue& doc, const std::string& file)
 
     std::set<std::string> names;
     std::set<std::string> functional_names;
-    std::set<std::string> recorded_events;
     bool any_functional = false;
-    int legacy_plumbing = 0;
     const Arch arch = sc.gpu_preset == "rtx2080" ? Arch::kTuring : Arch::kVolta;
     if (kernels) {
         for (size_t i = 0; i < kernels->as_array().size(); ++i) {
             KernelSpec spec =
-                parse_kernel(kernels->as_array()[i], i, file, sc.declarative);
-            legacy_plumbing += (!spec.record_event.empty() ||
-                                !spec.wait_events.empty() || spec.sync)
-                                   ? 1
-                                   : 0;
+                parse_kernel(kernels->as_array()[i], i,
+                             "kernels[" + std::to_string(i) + "]", file,
+                             sc.declarative);
             if ((spec.mode == TcMode::kInt8 || spec.mode == TcMode::kInt4) &&
                 arch != Arch::kTuring)
                 fail(file, "kernels[" + std::to_string(i) +
@@ -1309,8 +1291,6 @@ parse_scenario(const JsonValue& doc, const std::string& file)
             any_functional |= spec.functional;
             if (spec.functional)
                 functional_names.insert(spec.name);
-            if (!spec.record_event.empty())
-                recorded_events.insert(spec.record_event);
             sc.kernels.push_back(std::move(spec));
         }
     } else {
@@ -1318,52 +1298,17 @@ parse_scenario(const JsonValue& doc, const std::string& file)
         for (const KernelSpec& k : sc.kernels)
             names.insert(k.name);
     }
-    if (sc.declarative) {
-        // Compile read/write sets into streams and events; the plan
-        // overwrites the per-kernel stream/record/wait fields, so
-        // everything downstream of here sees a legacy-shaped scenario.
+    // Compile read/write sets into streams and events; the plan is
+    // lowered onto the per-kernel stream/record/wait fields.  A plain
+    // scenario is one ordered queue on the default stream.
+    std::set<std::string> recorded_events;
+    if (sc.declarative)
         compile_taskgraph(&sc, file);
-        recorded_events.clear();
-        for (const KernelSpec& k : sc.kernels)
-            if (!k.record_event.empty())
-                recorded_events.insert(k.record_event);
-    } else if (legacy_plumbing > 0) {
-        // One aggregated warning per scenario (not per kernel): batch
-        // runs over the legacy suite stay readable.
-        warn("%s: scenario \"%s\": %d of %zu kernel(s) hand-write "
-             "record_event/wait_event/sync plumbing (deprecated): "
-             "declare \"tensors\" plus per-kernel \"reads\"/\"writes\" "
-             "and the task-graph compiler derives streams and events",
-             file.empty() ? "scenario" : file.c_str(), sc.name.c_str(),
-             legacy_plumbing, sc.kernels.size());
-    }
-
-    // Dependency sanity: a wait on an event no kernel records can
-    // never be satisfied — fail those at parse time.  Deeper problems
-    // (record/wait cycles, a record ordered behind its own wait) are
-    // left to the engine, which reports them as an EngineDeadlockError
-    // with the cycle-accurate wait graph.
-    for (size_t i = 0; i < sc.kernels.size(); ++i)
-        for (const std::string& e : sc.kernels[i].wait_events)
-            if (!recorded_events.count(e))
-                fail(file, "kernels[" + std::to_string(i) +
-                               "]: waits on event \"" + e +
-                               "\" which no kernel records");
-    // A wait on an event recorded earlier on the *same* stream is a
-    // no-op — stream FIFO order already guarantees it.  The compiler
-    // never emits one (it only appears in hand-written plumbing).
-    for (size_t i = 0; i < sc.kernels.size(); ++i)
-        for (const std::string& e : sc.kernels[i].wait_events)
-            for (size_t j = 0; j < i; ++j)
-                if (sc.kernels[j].record_event == e &&
-                    sc.kernels[j].stream == sc.kernels[i].stream)
-                    warn("%s: kernels[%zu] (\"%s\") waits on \"%s\", "
-                         "recorded earlier on the same stream %d — a "
-                         "no-op wait (stream order already guarantees "
-                         "it)",
-                         file.empty() ? "scenario" : file.c_str(), i,
-                         sc.kernels[i].name.c_str(), e.c_str(),
-                         sc.kernels[i].stream);
+    else
+        sc.dag.num_streams = 1;
+    for (const KernelSpec& k : sc.kernels)
+        if (!k.record_event.empty())
+            recorded_events.insert(k.record_event);
 
     if (const JsonValue* v = doc.find("verify_tolerance")) {
         sc.verify_tolerance = v->as_number();

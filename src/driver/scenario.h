@@ -35,7 +35,7 @@
  *                                           //   rejected at parse time
  *     "kernels": [                          // required, non-empty
  *       {"kernel": "wmma_shared",           // required; see registry
- *        "name": "gemm0", "stream": 0,
+ *        "name": "gemm0",
  *        "m": 128, "n": 128, "k": 128,
  *        "mode": "mixed" | "fp16" | "int8" | "int4",
  *        "a_layout": "row" | "col", "b_layout": ..., "cd_layout": ...,
@@ -46,9 +46,10 @@
  *        "reads": ["A0"], "writes": ["A1"], // declarative form: the
  *                                           //   task-graph compiler
  *                                           //   derives streams/events
- *        "wait_event": "e0" | ["e0","e1"],  // gate on recorded events
- *        "record_event": "e2",              // record after this launch
- *        "sync": true}],                    // join all prior launches
+ *        "record_event": "e2",              // declarative only: name
+ *                                           //   this task's event
+ *        "wait_event": "e0" | ["e0","e1"]}],// declarative only: audit
+ *                                           //   an edge (never obeyed)
  *     "verify_tolerance": 0.05,             // max rel err, functional runs
  *     "expect": [
  *       {"metric": "total.cycles", "max": 60000, "min": 1000},
@@ -111,13 +112,13 @@
  * the runner simulates the prefix once, snapshots the complete
  * simulation state at fork_cycle, and forks one run per point (each a
  * restore + the point's kernels), bit-identical to running
- * prefix+point cold from cycle 0.  Sweep constraints (validated at
- * parse time): every kernel must be timing-only (functional=false),
- * point kernels may only use stream ids the prefix uses (or 0), point
- * kernel names must not collide with prefix names, and a point's
- * wait_event must be recorded by the prefix or the same point.  The
- * per-point "expect" list is evaluated against the merged run
- * (prefix + point kernels) in addition to the top-level "expect".
+ * prefix+point cold from cycle 0.  Sweeps take the plain form only,
+ * so the prefix and every point run in declaration order on the
+ * default stream.  Sweep constraints (validated at parse time): every
+ * kernel must be timing-only (functional=false), and point kernel
+ * names must not collide with prefix names.  The per-point "expect"
+ * list is evaluated against the merged run (prefix + point kernels)
+ * in addition to the top-level "expect".
  *
  * Metric paths: total.{cycles,instructions,hmma_instructions,ipc,
  * tflops,ticks,skipped_cycles,stall_cycles},
@@ -153,15 +154,18 @@
  * l2_bank_queue_depth, noc_bytes_per_cycle, noc_queue_depth,
  * dram_queue_depth and dram_rw_turnaround (see GpuConfig).
  *
- * Declarative form: a scenario with a "tensors" arena (or any kernel
- * declaring "reads"/"writes") switches to the task-graph frontend
- * (driver/taskgraph.h): every kernel must declare its read/write
- * sets, "stream" and "sync" are rejected (the compiler assigns
- * streams), and record_event/wait_event become an event-naming /
- * audit annotation.  The compiled plan is lowered back onto the
- * legacy KernelSpec fields, so downstream (runner, engine, reports)
- * is unchanged.  Hand-written record/wait/sync plumbing without
- * read/write sets still parses, with a deprecation warning.
+ * Dependencies are stated one way.  A plain scenario runs its kernels
+ * in declaration order on the default stream.  A scenario with a
+ * "tensors" arena (or any kernel declaring "reads"/"writes") is in
+ * the declarative form, handled by the task-graph frontend
+ * (driver/taskgraph.h): every kernel declares its read/write sets and
+ * the compiler derives streams and events; record_event names a
+ * task's event and wait_event is an audited annotation.  The compiled
+ * plan is lowered onto KernelSpec's stream/record_event/wait_events,
+ * so the runner and engine see plain streams and events.  There is no
+ * "stream" or "sync" key, and record_event/wait_event outside the
+ * declarative form are rejected with a ScenarioError that points to
+ * "tensors" plus "reads"/"writes".
  */
 
 #include <stdexcept>
@@ -196,7 +200,6 @@ struct KernelSpec
 {
     std::string family;  ///< Registry name ("wmma_shared", ...).
     std::string name;    ///< Display name; defaults to family_<index>.
-    int stream = 0;      ///< 0 = the implicit default stream.
 
     // GEMM families.
     int m = 64, n = 64, k = 64;
@@ -212,19 +215,20 @@ struct KernelSpec
     int wmma_per_warp = 64;
     int accumulators = 4;
 
-    // Synchronization (any family).
+    // Declarative form (driver/taskgraph.h).
+    /** Tensor names this kernel reads / writes. */
+    std::vector<std::string> reads, writes;
+
+    // The launch plan.  The task-graph compiler lowers the declarative
+    // form onto these fields; a plain scenario keeps the defaults (one
+    // ordered queue on the default stream, no events).
+    /** Engine stream: 0 = the default stream, 1.. = compiled streams
+     *  (dense, in creation order). */
+    int stream = 0;
     /** Events this launch's stream waits on before it may start. */
     std::vector<std::string> wait_events;
     /** Event recorded on the stream right after this launch. */
     std::string record_event;
-    /** Join barrier: wait for every launch declared before this one
-     *  (across all streams) before starting. */
-    bool sync = false;
-
-    // Declarative form (driver/taskgraph.h).  After parsing, the
-    // compiled plan overwrites stream/record_event/wait_events above.
-    /** Tensor names this kernel reads / writes. */
-    std::vector<std::string> reads, writes;
     /** Source position of the kernel object (diagnostics). */
     int line = 0, col = 0;
 };
@@ -310,8 +314,8 @@ struct Scenario
     std::vector<TensorSpec> tensors;
     /** True when the task-graph compiler derived streams/events. */
     bool declarative = false;
-    /** The dependency DAG (compiled plan, or empty for legacy —
-     *  build_dag() synthesizes the legacy view on demand). */
+    /** The dependency DAG: the compiled plan when declarative, else
+     *  edgeless (one ordered queue on the default stream). */
     TaskGraphDag dag;
     std::vector<Expectation> expect;
     /** Max allowed |D - ref| / (1 + |ref|) for functional kernels. */
@@ -334,6 +338,10 @@ struct Scenario
     /** Preset with overrides applied. */
     GpuConfig gpu_config() const;
 };
+
+/** True for the serve.* fields (without the "serve." prefix) that a
+ *  serving scenario reports only when it declares serving.resilience. */
+bool is_resilience_serve_metric(const std::string& field);
 
 /** Names of the GpuConfig fields overridable from the "gpu" object. */
 const std::vector<std::string>& gpu_override_keys();

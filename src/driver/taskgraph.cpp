@@ -78,10 +78,10 @@ compile_taskgraph(Scenario* sc, const std::string& file)
                         "declare \"reads\" and/or \"writes\"");
     }
 
-    // Explicit record/wait plumbing in declarative form: record_event
-    // names the task's compiled event; wait_event is an *audited
-    // annotation* — the compiler derives the real dependencies and
-    // reports declared edges no hazard backs as false serialization.
+    // Explicit record/wait keys: record_event names the task's
+    // compiled event; wait_event is an *audited annotation* — the
+    // compiler derives the real dependencies and reports declared
+    // edges no hazard backs as false serialization.
     std::map<std::string, int> explicit_record;
     for (size_t i = 0; i < sc->kernels.size(); ++i) {
         const KernelSpec& k = sc->kernels[i];
@@ -149,9 +149,8 @@ compile_taskgraph(Scenario* sc, const std::string& file)
             rename[plan.record_event[t]] = final_name[t];
     }
 
-    // Lower the plan onto the legacy KernelSpec fields: from here the
-    // runner and engine see exactly what a hand-written scenario would
-    // have spelled out.
+    // Lower the plan onto the KernelSpec launch fields: from here the
+    // runner and engine see plain streams and events.
     for (size_t t = 0; t < n; ++t) {
         KernelSpec& k = sc->kernels[t];
         k.stream = plan.stream_of[t];
@@ -159,7 +158,6 @@ compile_taskgraph(Scenario* sc, const std::string& file)
         k.wait_events.clear();
         for (const std::string& w : plan.wait_events[t])
             k.wait_events.push_back(rename.at(w));
-        k.sync = false;
     }
 
     // DAG for --dump-dag and the false-serialization report.
@@ -190,51 +188,6 @@ compile_taskgraph(Scenario* sc, const std::string& file)
              to.c_str());
         sc->dag.false_serialization.emplace_back(from, to);
     }
-}
-
-TaskGraphDag
-build_dag(const Scenario& sc)
-{
-    if (sc.dag.compiled)
-        return sc.dag;
-
-    // Legacy scenario: synthesize the DAG the explicit plumbing spells
-    // out — wait_event edges from the recording kernel, sync edges
-    // from every prior launch.
-    TaskGraphDag dag;
-    std::set<int> streams;
-    for (const KernelSpec& k : sc.kernels)
-        streams.insert(k.stream);
-    dag.num_streams = static_cast<int>(streams.size());
-    for (size_t i = 0; i < sc.kernels.size(); ++i) {
-        const KernelSpec& k = sc.kernels[i];
-        for (const std::string& e : k.wait_events) {
-            // Last earlier recorder wins, like the stream op order.
-            for (size_t j = i; j-- > 0;) {
-                if (sc.kernels[j].record_event != e)
-                    continue;
-                DagEdge d;
-                d.from = sc.kernels[j].name;
-                d.to = k.name;
-                d.kind = "event";
-                d.cross_stream = sc.kernels[j].stream != k.stream;
-                d.event = e;
-                dag.edges.push_back(std::move(d));
-                break;
-            }
-        }
-        if (k.sync) {
-            for (size_t j = 0; j < i; ++j) {
-                DagEdge d;
-                d.from = sc.kernels[j].name;
-                d.to = k.name;
-                d.kind = "sync";
-                d.cross_stream = sc.kernels[j].stream != k.stream;
-                dag.edges.push_back(std::move(d));
-            }
-        }
-    }
-    return dag;
 }
 
 JsonValue

@@ -4,14 +4,13 @@
  * Scenario-level task-graph frontend: parses the declarative tensor
  * arena ("tensors" plus per-kernel "reads"/"writes"), feeds it to the
  * core compiler (sim/graph/task_graph.h), and lowers the compiled
- * plan back onto the legacy KernelSpec fields — stream, record_event,
- * wait_events — so ScenarioRunner and the engine run a declarative
- * scenario through the exact op sequence a hand-written one uses.
+ * plan onto the KernelSpec launch fields — stream, record_event,
+ * wait_events — so ScenarioRunner and the engine run it as plain
+ * streams and events.
  *
  * Also home of the DAG dump (simrunner --dump-dag): a JSON document
  * that round-trips through the driver JSON parser plus a Graphviz DOT
- * rendering.  Legacy scenarios dump too — their DAG is synthesized
- * from the explicit record/wait/sync plumbing instead of compiled.
+ * rendering.  A plain scenario dumps an edgeless one-stream DAG.
  */
 
 #include <cstdint>
@@ -44,9 +43,8 @@ struct TensorSpec
 struct DagEdge
 {
     std::string from, to;  ///< Kernel names.
-    /** "raw" | "war" | "waw" (compiled) or "event" | "sync" (legacy). */
-    std::string kind;
-    std::string tensor;  ///< Hazard tensor ("" for legacy edges).
+    std::string kind;    ///< "raw" | "war" | "waw".
+    std::string tensor;  ///< Hazard tensor.
     bool cross_stream = false;
     /** Event carrying the edge; "" = implied by stream order or
      *  transitivity. */
@@ -56,14 +54,14 @@ struct DagEdge
 /** The dependency DAG of a scenario, dump-ready. */
 struct TaskGraphDag
 {
-    /** True when this is a compiled declarative plan (false = DAG
-     *  synthesized from legacy explicit plumbing). */
+    /** True when this is a compiled declarative plan (false = a plain
+     *  scenario: one stream, no edges). */
     bool compiled = false;
     int num_streams = 0;
     std::vector<DagEdge> edges;
     /** Declared edges the hazard analysis proved unnecessary. */
     std::vector<std::pair<std::string, std::string>> false_serialization;
-    /** The tensor arena with resolved addresses (empty for legacy). */
+    /** The tensor arena with resolved addresses (empty when plain). */
     std::vector<TensorSpec> tensors;
 };
 
@@ -80,10 +78,6 @@ struct TaskGraphDag
  * Fills sc->dag.  Called by parse_scenario; @p file for diagnostics.
  */
 void compile_taskgraph(Scenario* sc, const std::string& file);
-
-/** The dependency DAG of @p sc: the compiled plan when declarative,
- *  else a DAG synthesized from record/wait/sync plumbing. */
-TaskGraphDag build_dag(const Scenario& sc);
 
 /** Dump @p dag as a JSON document (parses back with json_parse). */
 JsonValue dag_to_json(const Scenario& sc, const TaskGraphDag& dag);

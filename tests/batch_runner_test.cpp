@@ -49,11 +49,12 @@ make_suite()
     add(R"({
       "name": "two_streams",
       "gpu": {"preset": "titan_v", "num_sms": 2},
+      "tensors": [{"name": "A", "bytes": 256}, {"name": "B", "bytes": 256}],
       "kernels": [
-        {"kernel": "hmma_stress", "name": "a", "stream": 1, "ctas": 2,
-         "warps_per_cta": 2, "wmma_per_warp": 16},
-        {"kernel": "hmma_stress", "name": "b", "stream": 2, "ctas": 2,
-         "warps_per_cta": 2, "wmma_per_warp": 16}
+        {"kernel": "hmma_stress", "name": "a", "ctas": 2,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["A"]},
+        {"kernel": "hmma_stress", "name": "b", "ctas": 2,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["B"]}
       ]
     })");
     add(R"({
@@ -64,31 +65,39 @@ make_suite()
         {"kernel": "wmma_naive", "name": "g", "m": 64, "n": 64, "k": 64}
       ]
     })");
-    // Event-DAG scenarios: cross-stream record/wait dependencies and a
-    // sync join must stay bit-identical between serial and parallel
-    // batch execution too.
+    // Event-DAG scenarios: a named event on a chain, and a fork-join
+    // the compiler lowers to cross-stream record/wait pairs, must stay
+    // bit-identical between serial and parallel batch execution too.
     add(R"({
       "name": "event_chain",
       "gpu": {"preset": "titan_v", "num_sms": 2},
+      "tensors": [{"name": "T", "bytes": 256}, {"name": "U", "bytes": 256}],
       "kernels": [
-        {"kernel": "hmma_stress", "name": "p", "stream": 1, "ctas": 2,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "record_event": "e"},
-        {"kernel": "hmma_stress", "name": "c", "stream": 2, "ctas": 2,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "wait_event": "e"}
+        {"kernel": "hmma_stress", "name": "p", "ctas": 2,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["T"],
+         "record_event": "e"},
+        {"kernel": "hmma_stress", "name": "c", "ctas": 2,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["T"],
+         "writes": ["U"]}
       ]
     })");
     add(R"({
       "name": "event_fork_join",
       "gpu": {"preset": "titan_v", "num_sms": 2},
+      "tensors": [{"name": "R", "bytes": 256}, {"name": "A", "bytes": 256},
+                  {"name": "B", "bytes": 256}, {"name": "J", "bytes": 256}],
       "kernels": [
-        {"kernel": "hmma_stress", "name": "root", "stream": 1, "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "record_event": "r"},
-        {"kernel": "hmma_stress", "name": "fa", "stream": 2, "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "wait_event": "r"},
-        {"kernel": "hmma_stress", "name": "fb", "stream": 3, "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "wait_event": "r"},
-        {"kernel": "hmma_stress", "name": "join", "stream": 1, "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "sync": true}
+        {"kernel": "hmma_stress", "name": "root", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["R"]},
+        {"kernel": "hmma_stress", "name": "fa", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["R"],
+         "writes": ["A"]},
+        {"kernel": "hmma_stress", "name": "fb", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["R"],
+         "writes": ["B"]},
+        {"kernel": "hmma_stress", "name": "join", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["A", "B"],
+         "writes": ["J"]}
       ]
     })");
     return suite;

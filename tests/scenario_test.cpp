@@ -10,6 +10,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <utility>
 
 #include "bench_util.h"
 #include "driver/json.h"
@@ -454,36 +455,54 @@ TEST(JsonEmitter, RoundTripsThroughDriverParser)
     std::remove(path.c_str());
 }
 
-// ---- Event & synchronization schema -------------------------------------
+// ---- Dependencies and events --------------------------------------------
 
-TEST(Scenario, ParsesEventKeys)
+TEST(Scenario, RejectsRemovedDependencyKeys)
 {
-    Scenario sc = parse_scenario_text(R"({
-      "name": "dag",
-      "kernels": [
-        {"kernel": "hmma_stress", "name": "p", "stream": 1,
-         "record_event": "e0"},
-        {"kernel": "hmma_stress", "name": "q", "stream": 2,
-         "wait_event": "e0", "record_event": "e1"},
-        {"kernel": "hmma_stress", "name": "r", "stream": 3,
-         "wait_event": ["e0", "e1"], "sync": true}
-      ]
-    })");
-    EXPECT_EQ(sc.kernels[0].record_event, "e0");
-    EXPECT_TRUE(sc.kernels[0].wait_events.empty());
-    ASSERT_EQ(sc.kernels[1].wait_events.size(), 1u);
-    EXPECT_EQ(sc.kernels[1].wait_events[0], "e0");
-    ASSERT_EQ(sc.kernels[2].wait_events.size(), 2u);
-    EXPECT_TRUE(sc.kernels[2].sync);
-    EXPECT_FALSE(sc.kernels[1].sync);
+    // Dependencies are stated one way (a tensor arena plus read/write
+    // sets).  Hand-written plumbing is a typed error naming the key
+    // and the declarative alternative: "stream" and "sync" everywhere,
+    // "record_event"/"wait_event" outside the declarative form.
+    auto expect_rejected = [](const std::string& text,
+                              const std::string& key) {
+        try {
+            parse_scenario_text(text);
+            ADD_FAILURE() << key << " accepted: " << text;
+        } catch (const ScenarioError& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("\"" + key + "\""), std::string::npos) << msg;
+            EXPECT_NE(msg.find("\"tensors\""), std::string::npos) << msg;
+            EXPECT_NE(msg.find("\"reads\"/\"writes\""), std::string::npos)
+                << msg;
+        }
+    };
+    const std::pair<std::string, std::string> plain[] = {
+        {"stream", "1"},
+        {"sync", "true"},
+        {"record_event", R"("e")"},
+        {"wait_event", R"(["e"])"}};
+    for (const auto& [key, value] : plain)
+        expect_rejected(R"({"name": "s", "kernels": [
+                             {"kernel": "hmma_stress", ")" +
+                            key + "\": " + value + "}]}",
+                        key);
+    for (const auto& [key, value] : {plain[0], plain[1]})
+        expect_rejected(R"({"name": "s",
+                            "tensors": [{"name": "T", "bytes": 64}],
+                            "kernels": [{"kernel": "hmma_stress",
+                                         "writes": ["T"], ")" +
+                            key + "\": " + value + "}]}",
+                        key);
 }
 
 TEST(Scenario, RejectsWaitOnEventNobodyRecords)
 {
     EXPECT_THROW(parse_scenario_text(R"({
       "name": "s",
+      "tensors": [{"name": "T", "bytes": 64}],
       "kernels": [
-        {"kernel": "hmma_stress", "name": "k", "wait_event": "ghost"}
+        {"kernel": "hmma_stress", "name": "k", "writes": ["T"],
+         "wait_event": "ghost"}
       ]
     })"),
                  ScenarioError);
@@ -501,8 +520,10 @@ TEST(Scenario, RejectsBadEventMetrics)
     // Only .cycle exists on events.
     EXPECT_THROW(parse_scenario_text(R"({
       "name": "s",
+      "tensors": [{"name": "T", "bytes": 64}],
       "kernels": [
-        {"kernel": "hmma_stress", "name": "k", "record_event": "e"}
+        {"kernel": "hmma_stress", "name": "k", "writes": ["T"],
+         "record_event": "e"}
       ],
       "expect": [{"metric": "event.e.latency", "min": 1}]
     })"),
@@ -514,11 +535,14 @@ TEST(ScenarioRun, EventDagGatesAndExposesEventMetrics)
     Scenario sc = parse_scenario_text(R"({
       "name": "dag_run",
       "gpu": {"preset": "titan_v", "num_sms": 2},
+      "tensors": [{"name": "T", "bytes": 64}, {"name": "U", "bytes": 64}],
       "kernels": [
-        {"kernel": "hmma_stress", "name": "p", "stream": 1, "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "record_event": "e"},
-        {"kernel": "hmma_stress", "name": "c", "stream": 2, "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "wait_event": "e"}
+        {"kernel": "hmma_stress", "name": "p", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["T"],
+         "record_event": "e"},
+        {"kernel": "hmma_stress", "name": "c", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["T"],
+         "writes": ["U"]}
       ],
       "expect": [
         {"metric": "event.e.cycle", "min": 1},
@@ -544,20 +568,26 @@ TEST(ScenarioRun, EventDagGatesAndExposesEventMetrics)
     EXPECT_LE(r.events[0].cycle, consumer->start_cycle);
 }
 
-TEST(ScenarioRun, SyncJoinsAllPriorLaunches)
+TEST(ScenarioRun, JoinWaitsForEveryProducer)
 {
+    // a and b write disjoint tensors (two streams); join reads both,
+    // so the compiler orders it after each.
     Scenario sc = parse_scenario_text(R"({
-      "name": "sync_join",
+      "name": "join",
       "gpu": {"preset": "titan_v", "num_sms": 2},
+      "tensors": [{"name": "A", "bytes": 64}, {"name": "B", "bytes": 64},
+                  {"name": "J", "bytes": 64}],
       "kernels": [
-        {"kernel": "hmma_stress", "name": "a", "stream": 1, "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16},
-        {"kernel": "hmma_stress", "name": "b", "stream": 2, "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 48},
-        {"kernel": "hmma_stress", "name": "join", "stream": 3, "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "sync": true}
+        {"kernel": "hmma_stress", "name": "a", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["A"]},
+        {"kernel": "hmma_stress", "name": "b", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 48, "writes": ["B"]},
+        {"kernel": "hmma_stress", "name": "join", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["A", "B"],
+         "writes": ["J"]}
       ]
     })");
+    ASSERT_NE(sc.kernels[0].stream, sc.kernels[1].stream);
     ScenarioResult r = run_scenario(sc);
     EXPECT_TRUE(r.passed) << r.error;
     uint64_t join_start = 0, max_finish = 0;

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "driver/runner.h"
@@ -29,7 +30,7 @@ sweep_text(const std::string& extra = "")
       "gpu": {"preset": "titan_v", "num_sms": 4},
       "kernels": [
         {"kernel": "wmma_naive", "name": "warm", "m": 64, "n": 64,
-         "k": 64, "record_event": "warm_done"}
+         "k": 64}
       ],
       "sweep": {
         "fork_cycle": 200,
@@ -37,8 +38,7 @@ sweep_text(const std::string& extra = "")
           {"name": "small",
            "kernels": [
              {"kernel": "hmma_stress", "name": "s", "ctas": 2,
-              "warps_per_cta": 2, "wmma_per_warp": 16,
-              "wait_event": "warm_done"}
+              "warps_per_cta": 2, "wmma_per_warp": 16}
            ],
            "expect": [
              {"metric": "kernel.s.hmma_instructions", "min": 1}
@@ -139,24 +139,12 @@ TEST(SweepParse, RejectsBadSweeps)
                   "kernels": [{"kernel": "wmma_shared", "name": "g",
                                "functional": true}]}]}})",
             "functional point");
-    // A point may not mint stream ids the prefix never used.
-    rejects(R"({"name": "x", "kernels": [{"kernel": "wmma_naive"}],
-                "sweep": {"fork_cycle": 10, "points": [{"name": "p",
-                  "kernels": [{"kernel": "wmma_naive", "name": "g",
-                               "stream": 3}]}]}})",
-            "new stream id");
     // Kernel names must not collide with the prefix.
     rejects(R"({"name": "x", "kernels":
                  [{"kernel": "wmma_naive", "name": "warm"}],
                 "sweep": {"fork_cycle": 10, "points": [{"name": "p",
                   "kernels": [{"kernel": "wmma_naive", "name": "warm"}]}]}})",
             "name collision");
-    // Waits must resolve against prefix or same-point records.
-    rejects(R"({"name": "x", "kernels": [{"kernel": "wmma_naive"}],
-                "sweep": {"fork_cycle": 10, "points": [{"name": "p",
-                  "kernels": [{"kernel": "wmma_naive", "name": "g",
-                               "wait_event": "ghost"}]}]}})",
-            "unknown wait event");
     // Point expectations resolve against the merged kernel set.
     rejects(R"({"name": "x", "kernels": [{"kernel": "wmma_naive"}],
                 "sweep": {"fork_cycle": 10, "points": [{"name": "p",
@@ -181,6 +169,60 @@ TEST(SweepParse, RejectsBadSweeps)
             "duplicate point name");
 }
 
+TEST(SweepParse, PointKernelErrorsNameTheFullPath)
+{
+    // An invalid point kernel is reported at its own path, not at the
+    // prefix kernel with the same index.
+    try {
+        parse_scenario_text(R"({"name": "x",
+          "kernels": [{"kernel": "wmma_naive"}],
+          "sweep": {"fork_cycle": 10, "points": [
+            {"name": "ok", "kernels": [{"kernel": "wmma_naive",
+                                        "name": "g"}]},
+            {"name": "bad", "kernels": [{"kernel": "wmma_naive",
+                                         "name": "h", "m": 60}]}]}})");
+        FAIL() << "expected ScenarioError";
+    } catch (const ScenarioError& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find("sweep.points[1].kernels[0] (wmma_naive): "
+                           "wmma_naive needs m % 16 == 0"),
+                  std::string::npos)
+            << msg;
+    }
+}
+
+TEST(SweepParse, RejectsDependencyPlumbingInPoints)
+{
+    // Sweeps take the plain form: a point kernel with a stream, sync
+    // or event key is a typed error naming the key and the
+    // declarative alternative.
+    const std::pair<std::string, std::string> cases[] = {
+        {"stream", "1"},
+        {"sync", "true"},
+        {"record_event", R"("e")"},
+        {"wait_event", R"("e")"}};
+    for (const auto& [key, value] : cases) {
+        try {
+            parse_scenario_text(R"({"name": "x",
+              "kernels": [{"kernel": "wmma_naive"}],
+              "sweep": {"fork_cycle": 10, "points": [{"name": "p",
+                "kernels": [{"kernel": "wmma_naive", "name": "g", ")" +
+                                key + "\": " + value + "}]}]}}");
+            ADD_FAILURE() << key << " accepted";
+        } catch (const ScenarioError& e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find("sweep.points[0].kernels[0]"),
+                      std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("\"" + key + "\""), std::string::npos)
+                << msg;
+            EXPECT_NE(msg.find("\"tensors\""), std::string::npos) << msg;
+            EXPECT_NE(msg.find("\"reads\"/\"writes\""), std::string::npos)
+                << msg;
+        }
+    }
+}
+
 TEST(SweepParse, AttachSweepMatchesInline)
 {
     Scenario base = parse_scenario_text(R"({
@@ -188,7 +230,7 @@ TEST(SweepParse, AttachSweepMatchesInline)
       "gpu": {"preset": "titan_v", "num_sms": 4},
       "kernels": [
         {"kernel": "wmma_naive", "name": "warm", "m": 64, "n": 64,
-         "k": 64, "record_event": "warm_done"}
+         "k": 64}
       ]
     })");
     ASSERT_FALSE(base.is_sweep());
@@ -197,8 +239,7 @@ TEST(SweepParse, AttachSweepMatchesInline)
       "points": [
         {"name": "small", "kernels":
           [{"kernel": "hmma_stress", "name": "s", "ctas": 2,
-            "warps_per_cta": 2, "wmma_per_warp": 16,
-            "wait_event": "warm_done"}]}
+            "warps_per_cta": 2, "wmma_per_warp": 16}]}
       ]
     })");
     attach_sweep(&base, grid, "grid.json");

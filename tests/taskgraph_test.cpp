@@ -345,6 +345,28 @@ small_gemm(Gpu* gpu, GemmProblem<float>* prob, const char* name)
     return kd;
 }
 
+/** A timing-only wmma_shared GEMM on buffers allocated the way the
+ *  scenario runner allocates them: A, B, C, D in order, FP16 operands
+ *  and FP32 accumulators. */
+KernelDesc
+timing_gemm(Gpu* gpu, int m, int n, int k, const char* name)
+{
+    const uint64_t mn = static_cast<uint64_t>(m) * n;
+    GemmBuffers buf;
+    buf.a = gpu->mem().alloc(static_cast<uint64_t>(m) * k * 2);
+    buf.b = gpu->mem().alloc(static_cast<uint64_t>(k) * n * 2);
+    buf.c = gpu->mem().alloc(mn * 4);
+    buf.d = gpu->mem().alloc(mn * 4);
+    GemmKernelConfig cfg;
+    cfg.m = m;
+    cfg.n = n;
+    cfg.k = k;
+    cfg.functional = false;
+    KernelDesc kd = make_wmma_gemm_shared(cfg, buf);
+    kd.name = name;
+    return kd;
+}
+
 }  // namespace
 
 TEST(LaunchGraph, ForkJoinMatchesHandWrittenPlan)
@@ -462,7 +484,7 @@ TEST(ScenarioTaskGraph, CompilesDeclarativeForm)
     EXPECT_TRUE(sc.declarative);
     EXPECT_TRUE(sc.dag.compiled);
     EXPECT_EQ(sc.dag.num_streams, 2);
-    // Lowered onto the legacy KernelSpec fields.
+    // Lowered onto the KernelSpec launch fields.
     EXPECT_EQ(sc.kernels[0].stream, 1);
     EXPECT_EQ(sc.kernels[1].stream, 1);
     EXPECT_EQ(sc.kernels[2].stream, 2);
@@ -599,8 +621,10 @@ TEST(ScenarioTaskGraph, ExplicitWaitIsAuditOnlyAnnotation)
 
 TEST(ScenarioTaskGraph, CompiledPlanMatchesHandWrittenScenarioCycles)
 {
-    // The same tensor-parallel MLP layer written both ways: the
-    // declarative form must reproduce the legacy form cycle-exactly.
+    // A tensor-parallel MLP layer in the declarative form must run
+    // cycle-exactly like the streams and events written by hand on
+    // the engine API: l1a and l1b on two streams, l2 behind l1a on
+    // stream 1 and gated by l1b's event.
     Scenario decl = parse_scenario_text(R"({
       "name": "mlp_decl",
       "gpu": {"preset": "titan_v", "num_sms": 4},
@@ -620,51 +644,35 @@ TEST(ScenarioTaskGraph, CompiledPlanMatchesHandWrittenScenarioCycles)
          "k": 256, "reads": ["A1"], "writes": ["A2"]}
       ]
     })");
-    Scenario legacy = parse_scenario_text(R"({
-      "name": "mlp_legacy",
-      "gpu": {"preset": "titan_v", "num_sms": 4},
-      "kernels": [
-        {"kernel": "wmma_shared", "name": "l1a", "m": 64, "n": 128,
-         "k": 256, "stream": 1},
-        {"kernel": "wmma_shared", "name": "l1b", "m": 64, "n": 128,
-         "k": 256, "stream": 2, "record_event": "l1b_done"},
-        {"kernel": "wmma_shared", "name": "l2", "m": 64, "n": 64,
-         "k": 256, "stream": 1, "wait_event": "l1b_done"}
-      ]
-    })");
     ScenarioResult rd = run_scenario(decl);
-    ScenarioResult rl = run_scenario(legacy);
     ASSERT_TRUE(rd.error.empty()) << rd.error;
-    ASSERT_TRUE(rl.error.empty()) << rl.error;
-    EXPECT_EQ(rd.totals.cycles, rl.totals.cycles);
-    EXPECT_EQ(rd.totals.stalls.counts, rl.totals.stalls.counts);
-    ASSERT_EQ(rd.kernels.size(), rl.kernels.size());
-    for (size_t i = 0; i < rd.kernels.size(); ++i) {
-        EXPECT_EQ(rd.kernels[i].stats.cycles, rl.kernels[i].stats.cycles)
-            << rd.kernels[i].name;
-        EXPECT_EQ(rd.kernels[i].stats.start_cycle,
-                  rl.kernels[i].stats.start_cycle)
-            << rd.kernels[i].name;
-        EXPECT_EQ(rd.kernels[i].stats.finish_cycle,
-                  rl.kernels[i].stats.finish_cycle)
-            << rd.kernels[i].name;
-    }
-}
 
-TEST(ScenarioTaskGraph, LegacyPlumbingStillParses)
-{
-    // The deprecated explicit form keeps working (warn-only).
-    Scenario sc = parse_scenario_text(R"({
-      "name": "legacy",
-      "kernels": [
-        {"kernel": "hmma_stress", "name": "p", "stream": 1,
-         "record_event": "e"},
-        {"kernel": "hmma_stress", "name": "c", "stream": 2,
-         "wait_event": "e"}
-      ]
-    })");
-    EXPECT_FALSE(sc.declarative);
-    EXPECT_EQ(sc.kernels[1].wait_events.size(), 1u);
+    Gpu gpu(small_titan_v(4));
+    KernelDesc l1a = timing_gemm(&gpu, 64, 128, 256, "l1a");
+    KernelDesc l1b = timing_gemm(&gpu, 64, 128, 256, "l1b");
+    KernelDesc l2 = timing_gemm(&gpu, 64, 64, 256, "l2");
+    Stream& s1 = gpu.create_stream();
+    Stream& s2 = gpu.create_stream();
+    Event& l1b_done = gpu.create_event("l1b_done");
+    s1.enqueue(std::move(l1a));
+    s2.enqueue(std::move(l1b));
+    s2.record(l1b_done);
+    s1.wait(l1b_done);
+    s1.enqueue(std::move(l2));
+    EngineStats manual = gpu.run();
+
+    EXPECT_EQ(rd.totals.cycles, manual.cycles);
+    EXPECT_EQ(rd.totals.stalls.counts, manual.stalls.counts);
+    ASSERT_EQ(rd.kernels.size(), manual.kernels.size());
+    for (size_t i = 0; i < rd.kernels.size(); ++i) {
+        const LaunchStats& m = manual.kernels[i];
+        EXPECT_EQ(rd.kernels[i].name, m.kernel);
+        EXPECT_EQ(rd.kernels[i].stats.cycles, m.cycles) << m.kernel;
+        EXPECT_EQ(rd.kernels[i].stats.start_cycle, m.start_cycle)
+            << m.kernel;
+        EXPECT_EQ(rd.kernels[i].stats.finish_cycle, m.finish_cycle)
+            << m.kernel;
+    }
 }
 
 // ---- DAG dump -----------------------------------------------------------
@@ -683,7 +691,7 @@ TEST(DagDump, JsonRoundTripsThroughDriverParser)
          "reads": ["T"], "writes": ["U"]}
       ]
     })");
-    TaskGraphDag dag = build_dag(sc);
+    const TaskGraphDag& dag = sc.dag;
     EXPECT_TRUE(dag.compiled);
 
     JsonValue doc = json_parse(dag_to_json(sc, dag).dump());
@@ -704,30 +712,20 @@ TEST(DagDump, JsonRoundTripsThroughDriverParser)
     EXPECT_NE(dot.find("\"p\" -> \"c\""), std::string::npos);
 }
 
-TEST(DagDump, LegacyScenarioSynthesizesDag)
+TEST(DagDump, PlainScenarioIsOneEdgelessStream)
 {
     Scenario sc = parse_scenario_text(R"({
-      "name": "legacy_dag",
+      "name": "plain_dag",
       "kernels": [
-        {"kernel": "hmma_stress", "name": "p", "stream": 1,
-         "record_event": "e"},
-        {"kernel": "hmma_stress", "name": "c", "stream": 2,
-         "wait_event": "e"},
-        {"kernel": "hmma_stress", "name": "j", "stream": 3, "sync": true}
+        {"kernel": "hmma_stress", "name": "p"},
+        {"kernel": "hmma_stress", "name": "c"}
       ]
     })");
-    TaskGraphDag dag = build_dag(sc);
-    EXPECT_FALSE(dag.compiled);
-    EXPECT_EQ(dag.num_streams, 3);
-    bool event_edge = false, sync_edge = false;
-    for (const DagEdge& e : dag.edges) {
-        if (e.from == "p" && e.to == "c" && e.kind == "event")
-            event_edge = true;
-        if (e.to == "j" && e.kind == "sync")
-            sync_edge = true;
-    }
-    EXPECT_TRUE(event_edge);
-    EXPECT_TRUE(sync_edge);
-    JsonValue doc = json_parse(dag_to_json(sc, dag).dump());
+    EXPECT_FALSE(sc.dag.compiled);
+    EXPECT_EQ(sc.dag.num_streams, 1);
+    EXPECT_TRUE(sc.dag.edges.empty());
+    JsonValue doc = json_parse(dag_to_json(sc, sc.dag).dump());
     EXPECT_EQ(doc.find("declarative")->as_bool(), false);
+    ASSERT_EQ(doc.find("tasks")->as_array().size(), 2u);
+    EXPECT_EQ(doc.find("tasks")->as_array()[1].find("stream")->as_int(), 0);
 }

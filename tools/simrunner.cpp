@@ -36,9 +36,9 @@
  *                     — the fork-identity reference leg
  *     --dump-dag DIR  write the dependency DAG of every matching
  *                     scenario to DIR/<name>.dag.json and .dag.dot
- *                     (compiled plan for declarative scenarios, the
- *                     explicit record/wait/sync plumbing for legacy
- *                     ones) and exit without running
+ *                     (the compiled plan for declarative scenarios,
+ *                     one edgeless stream for plain ones) and exit
+ *                     without running
  *   --trace-out DIR write each serving scenario's per-request
  *                     lifecycle to DIR/<name>.trace.jsonl (one JSON
  *                     object per request: id, arrival/admit/finish
@@ -452,7 +452,7 @@ main(int argc, char** argv)
         fs::create_directories(opts.dump_dag_dir, ec);
         int dump_failures = 0;
         for (const driver::Scenario& sc : scenarios) {
-            driver::TaskGraphDag dag = driver::build_dag(sc);
+            const driver::TaskGraphDag& dag = sc.dag;
             std::string name = sc.name;
             std::replace(name.begin(), name.end(), '/', '_');
             std::string base = opts.dump_dag_dir + "/" + name + ".dag";
