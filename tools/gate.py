@@ -9,9 +9,13 @@ promises:
             ``--jobs 2 --sim-threads 4``: the batch reports must be
             identical modulo wall-clock fields.  This proves the
             parallel core, the batch runner, the serving loop and
-            fault injection deterministic.  At least one serving
-            result and one fault/resilience result must be present,
-            so the gate cannot pass vacuously.
+            fault injection deterministic.
+  serving   Reads the identity gate's two reports from the same
+  fault     workdir (it must have run first) and checks one class of
+            result: the serving results, or those carrying a fault or
+            serve-resilience block.  The class must be non-empty and
+            identical across the legs, so the identity gate cannot
+            pass vacuously for it.
   fork      The sweep scenario forked from its prefix snapshot against
             ``--cold-sweep`` (every point from cycle 0): identical
             reports, the snapshot contract end to end.
@@ -98,12 +102,19 @@ def diff(a, b, path="$"):
         yield "{}: {} vs {}".format(path, a, b)
 
 
+IDENTITY_LEGS = [("serial", ["--jobs", "1", "--sim-threads", "1"]),
+                 ("j2t4", ["--jobs", "2", "--sim-threads", "4"])]
+
+
+def leg_report(workdir, name):
+    return os.path.join(workdir, "report_{}.json".format(name))
+
+
 def compare_legs(simrunner, workdir, inputs, legs):
     """Run the two @p legs ((name, extra simrunner args) pairs) over
     @p inputs and return (problems, first report).  A scenario failure
     in either leg is a problem too, reported after the diff."""
-    reports = [os.path.join(workdir, "report_{}.json".format(name))
-               for name, _ in legs]
+    reports = [leg_report(workdir, name) for name, _ in legs]
     codes = [simrunner_report(simrunner, args + inputs, report)
              for (_, args), report in zip(legs, reports)]
     problems = []
@@ -121,22 +132,41 @@ def compare_legs(simrunner, workdir, inputs, legs):
 
 
 def gate_identity(simrunner, workdir):
-    problems, serial = compare_legs(
-        simrunner, workdir, [SCENARIOS],
-        [("serial", ["--jobs", "1", "--sim-threads", "1"]),
-         ("j2t4", ["--jobs", "2", "--sim-threads", "4"])])
-    results = serial.get("results", [])
-    serving = sum(1 for r in results if "serve" in r)
-    faulty = sum(1 for r in results
-                 if "fault" in r or "resilience" in r.get("serve", {}))
-    if serving == 0:
-        problems.append("no serving result: the gate would be vacuous")
-    if faulty == 0:
-        problems.append("no fault/resilience result: the gate would be "
-                        "vacuous")
-    return problems, ("{} results ({} serving, {} fault/resilience) "
-                      "identical at jobs=2 x sim_threads=4".format(
-                          len(results), serving, faulty))
+    problems, serial = compare_legs(simrunner, workdir, [SCENARIOS],
+                                    IDENTITY_LEGS)
+    return problems, "{} results identical at jobs=2 x sim_threads=4".format(
+        len(serial.get("results", [])))
+
+
+def identity_class(workdir, label, member):
+    """Check the results of the identity gate's reports in @p workdir
+    for which @p member holds: present, and identical across legs."""
+    try:
+        reports = [load(leg_report(workdir, name))
+                   for name, _ in IDENTITY_LEGS]
+    except FileNotFoundError as exc:
+        return ["{} (run the identity gate first)".format(exc)], ""
+    legs = [[r for r in report.get("results", []) if member(r)]
+            for report in reports]
+    problems = ["  " + d for d in diff(strip(legs[0]), strip(legs[1]))]
+    if problems:
+        problems.insert(0, "{} results differ between the legs:".format(
+            label))
+    if not legs[0]:
+        problems.append("no {} result: the identity gate would be vacuous "
+                        "for it".format(label))
+    return problems, ("{} {} results identical at jobs=2 x "
+                      "sim_threads=4".format(len(legs[0]), label))
+
+
+def gate_serving(simrunner, workdir):
+    return identity_class(workdir, "serving", lambda r: "serve" in r)
+
+
+def gate_fault(simrunner, workdir):
+    return identity_class(
+        workdir, "fault/resilience",
+        lambda r: "fault" in r or "resilience" in r.get("serve", {}))
 
 
 def gate_fork(simrunner, workdir):
@@ -292,6 +322,8 @@ def gate_dag(simrunner, workdir):
 
 GATES = {
     "identity": gate_identity,
+    "serving": gate_serving,
+    "fault": gate_fault,
     "fork": gate_fork,
     "replay": gate_replay,
     "dag": gate_dag,
