@@ -9,6 +9,7 @@
 #include <thread>
 
 #include "common/logging.h"
+#include "driver/metric.h"
 #include "kernels/gemm_problem.h"
 #include "kernels/kernel_registry.h"
 #include "metrics/metrics.h"
@@ -141,279 +142,6 @@ check_kernel_fits(const GpuConfig& cfg, const KernelDesc& k)
             std::to_string(k.warps_per_cta) + " smem=" +
             std::to_string(k.shared_mem_bytes) + " regs_per_thread=" +
             std::to_string(k.regs_per_thread) + ")");
-}
-
-/** Per-reason stall-cycle lookup: @p field is the lower-case reason
- *  name from stall_reason_name (e.g. "mshr_full"). */
-double
-resolve_stall_metric(const StallCounts& stalls, const std::string& field,
-                     const std::string& path)
-{
-    for (size_t i = 0; i < kNumStallReasons; ++i) {
-        StallReason r = static_cast<StallReason>(i);
-        if (field == stall_reason_name(r))
-            return static_cast<double>(stalls[r]);
-    }
-    throw ScenarioError("unknown stall reason in metric \"" + path + "\"");
-}
-
-/** The exported MemStats counters: one declaration drives both the
- *  mem.* metric resolver and the report JSON (same pattern as
- *  kOverrideFields in scenario.cpp — a counter added here appears in
- *  both surfaces, one missed cannot diverge silently). */
-struct MemCounter
-{
-    const char* name;
-    uint64_t MemStats::* member;
-};
-
-constexpr MemCounter kMemCounters[] = {
-    {"l1_hits", &MemStats::l1_hits},
-    {"l1_misses", &MemStats::l1_misses},
-    {"l2_hits", &MemStats::l2_hits},
-    {"l2_misses", &MemStats::l2_misses},
-    {"dram_bytes", &MemStats::dram_bytes},
-    {"global_sectors", &MemStats::global_sectors},
-    {"mshr_merges", &MemStats::mshr_merges},
-    {"mshr_peak", &MemStats::mshr_peak},
-    {"noc_queue_cycles", &MemStats::noc_queue_cycles},
-    {"l2_queue_cycles", &MemStats::l2_queue_cycles},
-    {"dram_queue_cycles", &MemStats::dram_queue_cycles},
-    {"dram_turnarounds", &MemStats::dram_turnarounds},
-};
-
-double
-resolve_mem_metric(const MemStats& m, const std::string& field,
-                   const std::string& path)
-{
-    for (const MemCounter& c : kMemCounters)
-        if (field == c.name)
-            return static_cast<double>(m.*(c.member));
-    throw ScenarioError("unknown mem metric \"" + path + "\"");
-}
-
-double
-resolve_total_metric(const ScenarioResult& r, const std::string& field)
-{
-    const EngineStats& t = r.totals;
-    if (field.rfind("stall.", 0) == 0)
-        return resolve_stall_metric(t.stalls, field.substr(6),
-                                    "total." + field);
-    if (field == "cycles")
-        return static_cast<double>(t.cycles);
-    if (field == "instructions")
-        return static_cast<double>(t.instructions);
-    if (field == "hmma_instructions")
-        return static_cast<double>(t.hmma_instructions);
-    if (field == "ipc")
-        return t.ipc;
-    if (field == "tflops")
-        return r.total_tflops;
-    if (field == "ticks")
-        return static_cast<double>(t.ticks);
-    if (field == "skipped_cycles")
-        return static_cast<double>(t.skipped_cycles);
-    if (field == "stall_cycles")
-        return static_cast<double>(t.stalls.total());
-    throw ScenarioError("unknown total metric \"" + field + "\"");
-}
-
-double
-resolve_kernel_metric(const KernelResult& k, const std::string& field)
-{
-    const LaunchStats& s = k.stats;
-    if (field.rfind("stall.", 0) == 0)
-        return resolve_stall_metric(s.stalls, field.substr(6),
-                                    "kernel." + k.name + "." + field);
-    if (field == "cycles")
-        return static_cast<double>(s.cycles);
-    if (field == "instructions")
-        return static_cast<double>(s.instructions);
-    if (field == "hmma_instructions")
-        return static_cast<double>(s.hmma_instructions);
-    if (field == "ipc")
-        return s.ipc;
-    if (field == "tflops")
-        return k.tflops;
-    if (field == "start_cycle")
-        return static_cast<double>(s.start_cycle);
-    if (field == "finish_cycle")
-        return static_cast<double>(s.finish_cycle);
-    if (field == "stream")
-        return k.stream;
-    if (field == "stall_cycles")
-        return static_cast<double>(s.stalls.total());
-    if (field == "verify_rel_err") {
-        if (k.verify_rel_err < 0)
-            throw ScenarioError("kernel \"" + k.name +
-                                "\" did not verify (functional is false)");
-        return k.verify_rel_err;
-    }
-    throw ScenarioError("unknown kernel metric \"" + field + "\"");
-}
-
-/** Canonical spelling of a percentile (99.5 -> "99.5", 99 -> "99"),
- *  used for both report keys and metric-path matching. */
-std::string
-format_pct(double pct)
-{
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", pct);
-    return buf;
-}
-
-double
-resolve_serve_metric(const ScenarioResult& r, const std::string& field,
-                     const std::string& path)
-{
-    if (!r.has_serving)
-        throw ScenarioError("metric \"" + path +
-                            "\" needs a \"serving\" scenario");
-    const serve::ServingReport& s = r.serving;
-    const serve::LatencySummary& l = s.latency;
-    if (field == "requests")
-        return s.requests;
-    if (field == "completed")
-        return s.completed;
-    if (field == "batches")
-        return s.batches;
-    if (field == "mean_batch_size")
-        return s.mean_batch_size;
-    if (field == "latency_p50")
-        return static_cast<double>(l.latency_p50);
-    if (field == "latency_p95")
-        return static_cast<double>(l.latency_p95);
-    if (field == "latency_p99")
-        return static_cast<double>(l.latency_p99);
-    if (field == "latency_p999")
-        return static_cast<double>(l.latency_p999);
-    if (field == "latency_max")
-        return static_cast<double>(l.latency_max);
-    if (field == "latency_mean")
-        return l.latency_mean;
-    // latency_p<pct>: any percentile the scenario listed in
-    // serving.percentiles, spelled as written there (e.g. p99.5).
-    if (field.rfind("latency_p", 0) == 0) {
-        const std::string pct = field.substr(9);
-        for (const auto& [p, v] : l.latency_extra)
-            if (format_pct(p) == pct)
-                return static_cast<double>(v);
-        throw ScenarioError("metric \"" + path + "\": percentile " + pct +
-                            " is not in serving.percentiles");
-    }
-    if (field == "queue_wait_p50")
-        return static_cast<double>(l.queue_wait_p50);
-    if (field == "queue_wait_p99")
-        return static_cast<double>(l.queue_wait_p99);
-    if (field == "queue_wait_max")
-        return static_cast<double>(l.queue_wait_max);
-    if (field == "queue_wait_mean")
-        return l.queue_wait_mean;
-    if (field == "queue_depth_peak")
-        return l.queue_depth_peak;
-    if (field == "queue_depth_mean")
-        return l.queue_depth_mean;
-    if (field == "makespan_cycles")
-        return static_cast<double>(s.makespan_cycles);
-    if (field == "busy_cycles")
-        return static_cast<double>(s.busy_cycles);
-    if (field == "busy_frac")
-        return s.busy_frac;
-    // Resilience outcomes exist only when the scenario declared a
-    // serving.resilience object (reports stay byte-identical
-    // otherwise).
-    if (is_resilience_serve_metric(field) && !s.resilience)
-        throw ScenarioError("metric \"" + path +
-                            "\" needs a serving.resilience object");
-    if (field == "deadline_miss")
-        return s.deadline_miss;
-    if (field == "goodput")
-        return s.goodput;
-    if (field == "retries")
-        return s.retries;
-    if (field == "shed")
-        return s.shed;
-    if (field == "dropped")
-        return s.dropped;
-    if (field == "killed_batches")
-        return s.killed_batches;
-    throw ScenarioError("unknown serve metric \"" + path + "\"");
-}
-
-double
-resolve_fault_metric(const ScenarioResult& r, const std::string& field,
-                     const std::string& path)
-{
-    if (!r.has_faults)
-        throw ScenarioError("metric \"" + path +
-                            "\" needs a \"faults\" object");
-    const FaultCounters& f = r.fault_counters;
-    if (field == "disabled_sms")
-        return static_cast<double>(f.disabled_sms);
-    if (field == "degraded_sms")
-        return static_cast<double>(f.degraded_sms);
-    if (field == "slowdowns")
-        return static_cast<double>(f.slowdowns);
-    if (field == "slowdown_extra_cycles")
-        return static_cast<double>(f.slowdown_extra_cycles);
-    if (field == "hangs")
-        return static_cast<double>(f.hangs);
-    if (field == "ecc_retries")
-        return static_cast<double>(f.ecc_retries);
-    if (field == "ecc_extra_cycles")
-        return static_cast<double>(f.ecc_extra_cycles);
-    throw ScenarioError("unknown fault metric \"" + path + "\"");
-}
-
-double
-resolve_metric(const ScenarioResult& r, const std::string& path)
-{
-    if (path.rfind("serve.", 0) == 0)
-        return resolve_serve_metric(r, path.substr(6), path);
-    if (path.rfind("fault.", 0) == 0)
-        return resolve_fault_metric(r, path.substr(6), path);
-    if (path.rfind("total.", 0) == 0)
-        return resolve_total_metric(r, path.substr(6));
-    if (path.rfind("verify.", 0) == 0) {
-        if (path.substr(7) != "max_rel_err")
-            throw ScenarioError("unknown verify metric \"" + path + "\"");
-        if (r.verify_max_rel_err < 0)
-            throw ScenarioError("verify.max_rel_err: no functional kernel "
-                                "ran");
-        return r.verify_max_rel_err;
-    }
-    if (path.rfind("mem.", 0) == 0)
-        return resolve_mem_metric(r.totals.mem, path.substr(4), path);
-    if (path.rfind("kernel.", 0) == 0) {
-        std::string rest = path.substr(7);
-        // "stall.<reason>" is the one two-component field; split in
-        // front of it so kernel names keep working with rfind.
-        size_t dot = rest.find(".stall.");
-        if (dot == std::string::npos)
-            dot = rest.rfind('.');
-        if (dot == std::string::npos)
-            throw ScenarioError("bad metric path \"" + path + "\"");
-        std::string name = rest.substr(0, dot);
-        for (const KernelResult& k : r.kernels)
-            if (k.name == name)
-                return resolve_kernel_metric(k, rest.substr(dot + 1));
-        throw ScenarioError("metric \"" + path +
-                            "\": no kernel result named \"" + name + "\"");
-    }
-    if (path.rfind("event.", 0) == 0) {
-        std::string rest = path.substr(6);
-        size_t dot = rest.rfind('.');
-        if (dot == std::string::npos || rest.substr(dot + 1) != "cycle")
-            throw ScenarioError("bad metric path \"" + path +
-                                "\" (want event.<name>.cycle)");
-        std::string name = rest.substr(0, dot);
-        for (const EventResult& e : r.events)
-            if (e.name == name)
-                return static_cast<double>(e.cycle);
-        throw ScenarioError("metric \"" + path + "\": event \"" + name +
-                            "\" never completed");
-    }
-    throw ScenarioError("bad metric path \"" + path + "\"");
 }
 
 /** Nominal FLOPs of one launch, straight from the spec (no prepared
@@ -570,31 +298,20 @@ run_serving_scenario(const Scenario& scenario, const GpuConfig& cfg,
 AssertionResult
 evaluate(const ScenarioResult& r, const Expectation& e)
 {
-    AssertionResult a;
-    a.metric = e.metric;
-    a.value = resolve_metric(r, e.metric);
-    a.passed = true;
-    char buf[96];
-    if (e.has_equals) {
-        a.passed = a.value == e.equals;
-        std::snprintf(buf, sizeof(buf), "== %.10g", e.equals);
-        a.detail = buf;
-    } else {
-        std::string detail;
-        if (e.has_min) {
-            a.passed &= a.value >= e.min;
-            std::snprintf(buf, sizeof(buf), ">= %.10g", e.min);
-            detail = buf;
-        }
-        if (e.has_max) {
-            a.passed &= a.value <= e.max;
-            std::snprintf(buf, sizeof(buf), "<= %.10g", e.max);
-            if (!detail.empty())
-                detail += ", ";
-            detail += buf;
-        }
-        a.detail = detail;
-    }
+    AssertionResult a{e.metric, resolve_metric(r, e.metric), true, ""};
+    // The parser lets "equals" stand only alone.
+    auto bound = [&](const char* op, double v, bool holds) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "%s %.10g", op, v);
+        a.detail += (a.detail.empty() ? "" : ", ") + std::string(buf);
+        a.passed &= holds;
+    };
+    if (e.has_equals)
+        bound("==", e.equals, a.value == e.equals);
+    if (e.has_min)
+        bound(">=", e.min, a.value >= e.min);
+    if (e.has_max)
+        bound("<=", e.max, a.value <= e.max);
     return a;
 }
 
@@ -1068,33 +785,9 @@ report_to_json(const BatchReport& report)
             sim.set("forked", r.sweep_forked);
         jr.set("sim", std::move(sim));
 
-        JsonValue totals = JsonValue::object();
-        totals.set("cycles", r.totals.cycles);
-        totals.set("instructions", r.totals.instructions);
-        totals.set("hmma_instructions", r.totals.hmma_instructions);
-        totals.set("ipc", r.totals.ipc);
-        totals.set("tflops", r.total_tflops);
-        totals.set("ticks", r.totals.ticks);
-        totals.set("skipped_cycles", r.totals.skipped_cycles);
-        totals.set("stall_cycles", r.totals.stalls.total());
-        if (r.totals.stalls.total() > 0) {
-            JsonValue stalls = JsonValue::object();
-            for (size_t i = 0; i < kNumStallReasons; ++i) {
-                StallReason reason = static_cast<StallReason>(i);
-                if (r.totals.stalls[reason] > 0)
-                    stalls.set(stall_reason_name(reason),
-                               r.totals.stalls[reason]);
-            }
-            totals.set("stalls", std::move(stalls));
-        }
-        jr.set("total", std::move(totals));
-
+        jr.set("total", emit_metrics(MetricSection::kTotal, {r}));
         // Run-wide memory-hierarchy counters (the transaction path).
-        const MemStats& m = r.totals.mem;
-        JsonValue mem = JsonValue::object();
-        for (const MemCounter& c : kMemCounters)
-            mem.set(c.name, m.*(c.member));
-        jr.set("mem", std::move(mem));
+        jr.set("mem", emit_metrics(MetricSection::kMem, {r}));
 
         // Replay cache (only when the run had it enabled, so replay-off
         // reports stay byte-identical to pre-replay ones).
@@ -1114,54 +807,11 @@ report_to_json(const BatchReport& report)
         // simulated cycles, so the parallel-identity legs diff it.
         if (r.has_serving) {
             const serve::ServingReport& s = r.serving;
-            const serve::LatencySummary& l = s.latency;
             JsonValue js = JsonValue::object();
             js.set("policy", s.policy);
-            js.set("requests", s.requests);
-            js.set("completed", s.completed);
-            js.set("batches", s.batches);
-            js.set("mean_batch_size", s.mean_batch_size);
-            js.set("makespan_cycles", s.makespan_cycles);
-            js.set("busy_cycles", s.busy_cycles);
-            js.set("busy_frac", s.busy_frac);
-            js.set("flops", s.total_flops);
-
-            // Resilience outcome (only when the scenario declared
-            // serving.resilience — resilience-off reports stay
-            // byte-identical to pre-resilience ones).
-            if (s.resilience) {
-                JsonValue jres = JsonValue::object();
-                jres.set("deadline_miss", s.deadline_miss);
-                jres.set("goodput", s.goodput);
-                jres.set("retries", s.retries);
-                jres.set("shed", s.shed);
-                jres.set("dropped", s.dropped);
-                jres.set("killed_batches", s.killed_batches);
-                js.set("resilience", std::move(jres));
-            }
-
-            JsonValue lat = JsonValue::object();
-            lat.set("p50", l.latency_p50);
-            lat.set("p95", l.latency_p95);
-            lat.set("p99", l.latency_p99);
-            lat.set("p999", l.latency_p999);
-            for (const auto& [pct, v] : l.latency_extra)
-                lat.set("p" + format_pct(pct), v);
-            lat.set("max", l.latency_max);
-            lat.set("mean", l.latency_mean);
-            js.set("latency_cycles", std::move(lat));
-
-            JsonValue qw = JsonValue::object();
-            qw.set("p50", l.queue_wait_p50);
-            qw.set("p99", l.queue_wait_p99);
-            qw.set("max", l.queue_wait_max);
-            qw.set("mean", l.queue_wait_mean);
-            js.set("queue_wait_cycles", std::move(qw));
-
-            JsonValue qd = JsonValue::object();
-            qd.set("peak", l.queue_depth_peak);
-            qd.set("mean", l.queue_depth_mean);
-            js.set("queue_depth", std::move(qd));
+            // Summary, resilience outcome (only when declared) and the
+            // latency, queue-wait and queue-depth groups.
+            js = emit_metrics(MetricSection::kServe, {r}, std::move(js));
 
             JsonValue reqs = JsonValue::array();
             for (const serve::RequestRecord& q : s.request_records) {
@@ -1219,46 +869,16 @@ report_to_json(const BatchReport& report)
         // "faults" — healthy-chip reports stay byte-identical).
         // Outside "sim": every counter is a function of simulated
         // cycles, so the fault-identity leg diffs it.
-        if (r.has_faults) {
-            const FaultCounters& f = r.fault_counters;
-            JsonValue jf = JsonValue::object();
-            jf.set("disabled_sms", f.disabled_sms);
-            jf.set("degraded_sms", f.degraded_sms);
-            jf.set("slowdowns", f.slowdowns);
-            jf.set("slowdown_extra_cycles", f.slowdown_extra_cycles);
-            jf.set("hangs", f.hangs);
-            jf.set("ecc_retries", f.ecc_retries);
-            jf.set("ecc_extra_cycles", f.ecc_extra_cycles);
-            jr.set("fault", std::move(jf));
-        }
+        if (r.has_faults)
+            jr.set("fault", emit_metrics(MetricSection::kFault, {r}));
 
         JsonValue kernels = JsonValue::array();
         for (const KernelResult& k : r.kernels) {
             JsonValue jk = JsonValue::object();
             jk.set("name", k.name);
             jk.set("family", k.family);
-            jk.set("stream", k.stream);
-            jk.set("start_cycle", k.stats.start_cycle);
-            jk.set("finish_cycle", k.stats.finish_cycle);
-            jk.set("cycles", k.stats.cycles);
-            jk.set("instructions", k.stats.instructions);
-            jk.set("hmma_instructions", k.stats.hmma_instructions);
-            jk.set("ipc", k.stats.ipc);
-            jk.set("tflops", k.tflops);
-            jk.set("stall_cycles", k.stats.stalls.total());
-            if (k.stats.stalls.total() > 0) {
-                JsonValue stalls = JsonValue::object();
-                for (size_t i = 0; i < kNumStallReasons; ++i) {
-                    StallReason reason = static_cast<StallReason>(i);
-                    if (k.stats.stalls[reason] > 0)
-                        stalls.set(stall_reason_name(reason),
-                                   k.stats.stalls[reason]);
-                }
-                jk.set("stalls", std::move(stalls));
-            }
-            if (k.verify_rel_err >= 0)
-                jk.set("verify_rel_err", k.verify_rel_err);
-            kernels.push_back(std::move(jk));
+            kernels.push_back(
+                emit_metrics(MetricSection::kKernel, {r, &k}, std::move(jk)));
         }
         jr.set("kernels", std::move(kernels));
 
@@ -1267,8 +887,8 @@ report_to_json(const BatchReport& report)
             for (const EventResult& e : r.events) {
                 JsonValue je = JsonValue::object();
                 je.set("name", e.name);
-                je.set("cycle", e.cycle);
-                events.push_back(std::move(je));
+                events.push_back(emit_metrics(MetricSection::kEvent,
+                                              {r, nullptr, &e}, std::move(je)));
             }
             jr.set("events", std::move(events));
         }

@@ -5,6 +5,7 @@
 #include <fstream>
 #include <set>
 
+#include "driver/metric.h"
 #include "kernels/kernel_registry.h"
 #include "model/model_graph.h"
 
@@ -240,93 +241,47 @@ parse_kernel(const JsonValue& obj, size_t index, std::string where,
     return spec;
 }
 
-Expectation
-parse_expectation(const JsonValue& obj, size_t index,
-                  const std::string& file)
+/** Parse the "expect" list at @p where.  Every metric path is checked
+ *  against @p scope, so a path its run would not report fails here,
+ *  before anything is simulated. */
+std::vector<Expectation>
+parse_expect(const JsonValue& list, const Scenario& scope,
+             const std::string& where, const std::string& file)
 {
-    std::string where = "expect[" + std::to_string(index) + "]";
-    check_keys(obj, {"metric", "min", "max", "equals"}, where, file);
-    Expectation e;
-    const JsonValue* metric = obj.find("metric");
-    if (!metric)
-        fail(file, where + ": missing required key \"metric\"");
-    e.metric = metric->as_string();
-    if (e.metric.rfind("total.", 0) != 0 &&
-        e.metric.rfind("kernel.", 0) != 0 &&
-        e.metric.rfind("event.", 0) != 0 &&
-        e.metric.rfind("mem.", 0) != 0 &&
-        e.metric.rfind("verify.", 0) != 0 &&
-        e.metric.rfind("serve.", 0) != 0 &&
-        e.metric.rfind("fault.", 0) != 0)
-        fail(file, where + ": metric must start with \"total.\", "
-                           "\"kernel.\", \"event.\", \"mem.\", "
-                           "\"verify.\", \"serve.\" or \"fault.\"");
-    if (const JsonValue* v = obj.find("min")) {
-        e.has_min = true;
-        e.min = v->as_number();
+    std::vector<Expectation> out;
+    for (size_t i = 0; i < list.as_array().size(); ++i) {
+        const JsonValue& obj = list.as_array()[i];
+        const std::string at = where + "[" + std::to_string(i) + "]";
+        check_keys(obj, {"metric", "min", "max", "equals"}, at, file);
+        Expectation e;
+        const JsonValue* metric = obj.find("metric");
+        if (!metric)
+            fail(file, at + ": missing required key \"metric\"");
+        e.metric = metric->as_string();
+        if (const JsonValue* v = obj.find("min")) {
+            e.has_min = true;
+            e.min = v->as_number();
+        }
+        if (const JsonValue* v = obj.find("max")) {
+            e.has_max = true;
+            e.max = v->as_number();
+        }
+        if (const JsonValue* v = obj.find("equals")) {
+            e.has_equals = true;
+            e.equals = v->as_number();
+        }
+        if (!e.has_min && !e.has_max && !e.has_equals)
+            fail(file, at + ": needs at least one of min/max/equals");
+        if (e.has_equals && (e.has_min || e.has_max))
+            fail(file, at + ": equals excludes min/max");
+        try {
+            check_metric(e.metric, scope);
+        } catch (const ScenarioError& err) {
+            fail(file, at + ": " + err.what());
+        }
+        out.push_back(std::move(e));
     }
-    if (const JsonValue* v = obj.find("max")) {
-        e.has_max = true;
-        e.max = v->as_number();
-    }
-    if (const JsonValue* v = obj.find("equals")) {
-        e.has_equals = true;
-        e.equals = v->as_number();
-    }
-    if (!e.has_min && !e.has_max && !e.has_equals)
-        fail(file, where + ": needs at least one of min/max/equals");
-    if (e.has_equals && (e.has_min || e.has_max))
-        fail(file, where + ": equals excludes min/max");
-    return e;
-}
-
-/** Reference checks shared by the top-level and sweep-point "expect"
- *  lists: metric paths must name known kernels/events, and verify
- *  metrics need a functional kernel. */
-void
-validate_expectation(const Expectation& e, const std::set<std::string>& names,
-                     const std::set<std::string>& functional_names,
-                     const std::set<std::string>& recorded_events,
-                     bool any_functional, const std::string& file)
-{
-    if (e.metric.rfind("kernel.", 0) == 0) {
-        // kernel.<name>.<field> — the name must exist, and
-        // verify_rel_err only exists on functional kernels (else the
-        // -1 "not verified" sentinel would satisfy any max bound
-        // vacuously).
-        std::string rest = e.metric.substr(7);
-        // "stall.<reason>" is the one two-component field.
-        size_t dot = rest.find(".stall.");
-        if (dot == std::string::npos)
-            dot = rest.rfind('.');
-        if (dot == std::string::npos || dot == 0)
-            fail(file, "bad metric path \"" + e.metric + "\"");
-        std::string kname = rest.substr(0, dot);
-        if (!names.count(kname))
-            fail(file, "metric \"" + e.metric +
-                           "\" references an unknown kernel");
-        if (rest.substr(dot + 1) == "verify_rel_err" &&
-            !functional_names.count(kname))
-            fail(file, "metric \"" + e.metric +
-                           "\" needs a functional kernel");
-    }
-    if (e.metric.rfind("verify.", 0) == 0 && !any_functional)
-        fail(file, "metric \"" + e.metric + "\" needs a functional kernel");
-    if (e.metric.rfind("serve.", 0) == 0)
-        fail(file, "metric \"" + e.metric +
-                       "\" requires a \"serving\" scenario");
-    if (e.metric.rfind("event.", 0) == 0) {
-        // event.<name>.cycle — the event must be recorded.
-        std::string rest = e.metric.substr(6);
-        size_t dot = rest.rfind('.');
-        if (dot == std::string::npos || dot == 0 ||
-            rest.substr(dot + 1) != "cycle")
-            fail(file, "bad metric path \"" + e.metric +
-                           "\" (want event.<name>.cycle)");
-        if (!recorded_events.count(rest.substr(0, dot)))
-            fail(file, "metric \"" + e.metric +
-                           "\" references an event no kernel records");
-    }
+    return out;
 }
 
 /**
@@ -342,6 +297,9 @@ parse_sweep_into(Scenario* sc, const JsonValue& obj, const std::string& file)
     if (sc->declarative)
         fail(file, "sweep: declarative scenarios do not support sweeps "
                    "(points extend a plain kernel list)");
+    if (sc->has_faults())
+        fail(file, "\"faults\" and \"sweep\" are mutually exclusive "
+                   "(forked sweep points assume a healthy prefix)");
     check_keys(obj, {"fork_cycle", "points"}, "sweep", file);
 
     const JsonValue* fc = obj.find("fork_cycle");
@@ -403,14 +361,10 @@ parse_sweep_into(Scenario* sc, const JsonValue& obj, const std::string& file)
         }
 
         if (const JsonValue* expect = pobj.find("expect")) {
-            for (size_t i = 0; i < expect->as_array().size(); ++i) {
-                Expectation e =
-                    parse_expectation(expect->as_array()[i], i, file);
-                validate_expectation(e, names, /*functional_names=*/{},
-                                     /*recorded_events=*/{},
-                                     /*any_functional=*/false, file);
-                pt.expect.push_back(std::move(e));
-            }
+            Scenario merged = *sc;
+            merged.kernels.insert(merged.kernels.end(), pt.kernels.begin(),
+                                  pt.kernels.end());
+            pt.expect = parse_expect(*expect, merged, where + ".expect", file);
         }
         sc->sweep.points.push_back(std::move(pt));
     }
@@ -1003,16 +957,6 @@ apply_gpu_override(GpuConfig* cfg, const std::string& key, double value)
     f->apply(cfg, value);
 }
 
-bool
-is_resilience_serve_metric(const std::string& field)
-{
-    for (const char* m : {"deadline_miss", "goodput", "retries", "shed",
-                          "dropped", "killed_batches"})
-        if (field == m)
-            return true;
-    return false;
-}
-
 uint64_t
 us_to_cycles(double us, double clock_ghz)
 {
@@ -1143,9 +1087,6 @@ parse_scenario(const JsonValue& doc, const std::string& file)
     // so faulty serving scenarios see it; mutually exclusive with the
     // paths that assume a healthy, homogeneous chip.
     if (const JsonValue* faults = doc.find("faults")) {
-        if (doc.find("sweep"))
-            fail(file, "\"faults\" and \"sweep\" are mutually exclusive "
-                       "(forked sweep points assume a healthy prefix)");
         if (sc.sim.replay_mode != SimOptions::ReplayMode::kOff)
             fail(file, "\"faults\" and sim.replay are mutually exclusive "
                        "(fault timing would poison the replay cache)");
@@ -1163,28 +1104,8 @@ parse_scenario(const JsonValue& doc, const std::string& file)
                 fail(file, std::string("a \"serving\" scenario excludes \"") +
                                k + "\"");
         sc.serving = parse_serving_spec(*serving, sc, file);
-        if (const JsonValue* expect = doc.find("expect")) {
-            for (size_t i = 0; i < expect->as_array().size(); ++i) {
-                Expectation e =
-                    parse_expectation(expect->as_array()[i], i, file);
-                if (e.metric.rfind("kernel.", 0) == 0 ||
-                    e.metric.rfind("event.", 0) == 0 ||
-                    e.metric.rfind("verify.", 0) == 0)
-                    fail(file, "metric \"" + e.metric +
-                                   "\": serving scenarios expose total.*, "
-                                   "mem.*, serve.* and fault.* metrics");
-                if (e.metric.rfind("fault.", 0) == 0 && !sc.has_faults())
-                    fail(file, "metric \"" + e.metric +
-                                   "\": needs a \"faults\" object");
-                if (e.metric.rfind("serve.", 0) == 0 &&
-                    is_resilience_serve_metric(e.metric.substr(6)) &&
-                    !sc.serving.resilience)
-                    fail(file, "metric \"" + e.metric +
-                                   "\": needs a serving.resilience "
-                                   "object");
-                sc.expect.push_back(std::move(e));
-            }
-        }
+        if (const JsonValue* expect = doc.find("expect"))
+            sc.expect = parse_expect(*expect, sc, "expect", file);
         return sc;
     }
 
@@ -1269,8 +1190,6 @@ parse_scenario(const JsonValue& doc, const std::string& file)
                 sc.declarative = true;
 
     std::set<std::string> names;
-    std::set<std::string> functional_names;
-    bool any_functional = false;
     const Arch arch = sc.gpu_preset == "rtx2080" ? Arch::kTuring : Arch::kVolta;
     if (kernels) {
         for (size_t i = 0; i < kernels->as_array().size(); ++i) {
@@ -1288,27 +1207,16 @@ parse_scenario(const JsonValue& doc, const std::string& file)
                                "registered kernel family emits yet");
             if (!names.insert(spec.name).second)
                 fail(file, "duplicate kernel name \"" + spec.name + "\"");
-            any_functional |= spec.functional;
-            if (spec.functional)
-                functional_names.insert(spec.name);
             sc.kernels.push_back(std::move(spec));
         }
-    } else {
-        // Model form: sc.kernels was filled by lower_model_into.
-        for (const KernelSpec& k : sc.kernels)
-            names.insert(k.name);
     }
     // Compile read/write sets into streams and events; the plan is
     // lowered onto the per-kernel stream/record/wait fields.  A plain
     // scenario is one ordered queue on the default stream.
-    std::set<std::string> recorded_events;
     if (sc.declarative)
         compile_taskgraph(&sc, file);
     else
         sc.dag.num_streams = 1;
-    for (const KernelSpec& k : sc.kernels)
-        if (!k.record_event.empty())
-            recorded_events.insert(k.record_event);
 
     if (const JsonValue* v = doc.find("verify_tolerance")) {
         sc.verify_tolerance = v->as_number();
@@ -1316,22 +1224,8 @@ parse_scenario(const JsonValue& doc, const std::string& file)
             fail(file, "verify_tolerance must be positive");
     }
 
-    if (const JsonValue* expect = doc.find("expect")) {
-        for (size_t i = 0; i < expect->as_array().size(); ++i) {
-            Expectation e =
-                parse_expectation(expect->as_array()[i], i, file);
-            validate_expectation(e, names, functional_names,
-                                 recorded_events, any_functional, file);
-            if (e.metric.rfind("fault.", 0) == 0 && !sc.has_faults())
-                fail(file, "metric \"" + e.metric +
-                               "\": needs a \"faults\" object");
-            if (e.metric.rfind("serve.", 0) == 0)
-                fail(file, "metric \"" + e.metric +
-                               "\": serve.* metrics need a \"serving\" "
-                               "scenario");
-            sc.expect.push_back(std::move(e));
-        }
-    }
+    if (const JsonValue* expect = doc.find("expect"))
+        sc.expect = parse_expect(*expect, sc, "expect", file);
 
     if (const JsonValue* sweep = doc.find("sweep"))
         parse_sweep_into(&sc, *sweep, file);

@@ -120,31 +120,12 @@
  * list is evaluated against the merged run (prefix + point kernels)
  * in addition to the top-level "expect".
  *
- * Metric paths: total.{cycles,instructions,hmma_instructions,ipc,
- * tflops,ticks,skipped_cycles,stall_cycles},
- * total.stall.<reason> (per-reason issue-stall cycles, e.g.
- * total.stall.mshr_full / noc_busy / dram_queue),
- * kernel.<name>.{cycles,instructions,hmma_instructions,ipc,tflops,
- * start_cycle,finish_cycle,stream,stall_cycles},
- * kernel.<name>.stall.<reason>,
- * mem.{l1_hits,l1_misses,l2_hits,l2_misses,dram_bytes,global_sectors,
- * mshr_merges,mshr_peak,noc_queue_cycles,l2_queue_cycles,
- * dram_queue_cycles,dram_turnarounds} (run-wide memory-hierarchy
- * counters from the transaction path),
- * event.<name>.cycle (completion stamp of a recorded event),
- * verify.max_rel_err (functional kernels only), and — serving
- * scenarios only — serve.{requests,completed,batches,mean_batch_size,
- * latency_p50,latency_p95,latency_p99,latency_p999,latency_p<pct>
- * (any percentile listed in serving.percentiles, dots spelled as in
- * the list, e.g. latency_p99.5),latency_mean,latency_max,
- * queue_wait_p50,queue_wait_p99,queue_wait_max,queue_wait_mean,
- * queue_depth_peak,queue_depth_mean,busy_frac,makespan_cycles}
- * (latencies and waits in cycles; see src/serve/latency_stats.h).
- * Serving scenarios with a "resilience" object additionally get
- * serve.{deadline_miss,goodput,retries,shed,dropped,killed_batches},
- * and scenarios with a "faults" object get
- * fault.{disabled_sms,degraded_sms,slowdowns,slowdown_extra_cycles,
- * hangs,ecc_retries,ecc_extra_cycles} (see sim/fault/fault_plan.h).
+ * Metric paths ("expect" entries, top level and per sweep point) are
+ * defined in driver/metric.h, one table entry per field, and checked
+ * when the scenario is parsed: a path its run would not report (an
+ * unknown field, kernel, event, stall reason or percentile, or a
+ * serve.*, fault.* or resilience metric the scenario does not declare
+ * the object for) is a ScenarioError naming the file and the path.
  * "faults" composes with the kernel, declarative, model and serving
  * forms, but is rejected alongside "sweep" and sim.replay (those
  * paths assume a healthy chip).
@@ -338,10 +319,6 @@ struct Scenario
     /** Preset with overrides applied. */
     GpuConfig gpu_config() const;
 };
-
-/** True for the serve.* fields (without the "serve." prefix) that a
- *  serving scenario reports only when it declares serving.resilience. */
-bool is_resilience_serve_metric(const std::string& field);
 
 /** Names of the GpuConfig fields overridable from the "gpu" object. */
 const std::vector<std::string>& gpu_override_keys();

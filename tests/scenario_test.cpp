@@ -8,12 +8,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
+#include <set>
 #include <utility>
 
 #include "bench_util.h"
 #include "driver/json.h"
+#include "driver/metric.h"
 #include "driver/runner.h"
 #include "driver/scenario.h"
 
@@ -694,31 +698,318 @@ TEST(ScenarioRun, PerReasonStallMetricsResolve)
     EXPECT_TRUE(r.passed) << r.error;
 }
 
-TEST(ScenarioRun, UnknownMemAndStallMetricsFail)
-{
-    Scenario sc = parse_scenario_text(R"({
-      "name": "bad_mem_metric",
-      "gpu": {"preset": "titan_v", "num_sms": 1},
-      "kernels": [
-        {"kernel": "wmma_naive", "name": "g", "m": 32, "n": 32, "k": 32}
-      ],
-      "expect": [{"metric": "mem.no_such_counter", "min": 0}]
-    })");
-    ScenarioResult r = run_scenario(sc);
-    EXPECT_FALSE(r.passed);
-    EXPECT_NE(r.error.find("unknown mem metric"), std::string::npos)
-        << r.error;
+// ---- The metric table ---------------------------------------------------
 
-    Scenario sc2 = parse_scenario_text(R"({
-      "name": "bad_stall_metric",
-      "gpu": {"preset": "titan_v", "num_sms": 1},
+namespace {
+
+/** A kernel scenario: a functional GEMM "f" that records event "e",
+ *  then a timing-only "g"; @p extra adds top-level keys. */
+std::string
+kernel_doc(const std::string& expect, const std::string& extra = "")
+{
+    return R"({"name": "k", "gpu": {"preset": "titan_v", "num_sms": 2},
+      "tensors": [{"name": "T", "bytes": 64}],
       "kernels": [
-        {"kernel": "wmma_naive", "name": "g", "m": 32, "n": 32, "k": 32}
-      ],
-      "expect": [{"metric": "total.stall.no_such_reason", "min": 0}]
-    })");
-    ScenarioResult r2 = run_scenario(sc2);
-    EXPECT_FALSE(r2.passed);
-    EXPECT_NE(r2.error.find("unknown stall reason"), std::string::npos)
-        << r2.error;
+        {"kernel": "wmma_shared", "name": "f", "m": 64, "n": 64, "k": 64,
+         "functional": true, "writes": ["T"], "record_event": "e"},
+        {"kernel": "wmma_naive", "name": "g", "m": 32, "n": 32, "k": 32,
+         "reads": ["T"]}],)" +
+           extra + R"("expect": [)" + expect + "]}";
+}
+
+/** A serving scenario reporting p99.5 and p12.25 besides the fixed
+ *  percentiles; @p resilience is the "resilience" object or "". */
+std::string
+serving_doc(const std::string& expect, const std::string& resilience = "")
+{
+    return R"({"name": "s", "gpu": {"preset": "titan_v", "num_sms": 4},
+      "serving": {
+        "model": {"tokens_per_request": 16, "input_features": 64,
+                  "layers": [{"type": "linear", "name": "fc1",
+                              "out_features": 64}]},
+        "trace": {"kind": "poisson", "seed": 3, "requests": 6,
+                  "mean_interarrival_us": 2},
+        "batching": {"policy": "static", "batch": 2, "timeout_us": 5},
+        "percentiles": [99.5, 12.25])" +
+           (resilience.empty() ? "" : ", \"resilience\": " + resilience) +
+           R"(},
+      "expect": [)" + expect + "]}";
+}
+
+/** A fault scenario: one disabled SM and a slowed kernel "h". */
+std::string
+fault_doc(const std::string& expect)
+{
+    return R"({"name": "f", "gpu": {"preset": "titan_v", "num_sms": 2},
+      "faults": {"disabled_sms": [0],
+                 "slowdowns": [{"match": "h", "factor": 2.0}]},
+      "kernels": [{"kernel": "hmma_stress", "name": "h", "ctas": 2,
+                   "warps_per_cta": 2, "wmma_per_warp": 8}],
+      "expect": [)" + expect + "]}";
+}
+
+/** One expectation on @p metric. */
+std::string
+on(const std::string& metric)
+{
+    return R"({"metric": ")" + metric + R"(", "min": 0})";
+}
+
+/** The ScenarioError message parsing @p doc as "m.json" raises ("" if
+ *  it parses). */
+std::string
+parse_error(const std::string& doc)
+{
+    try {
+        parse_scenario_text(doc, "m.json");
+    } catch (const ScenarioError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+}  // namespace
+
+TEST(Scenario, RejectsBadMetricPathsAtParseTime)
+{
+    // Every error names the file, the expectation, the full path, and
+    // why the path does not exist.  Each case is one error class.
+    struct Case
+    {
+        std::string doc, where, path, why;
+    };
+    const std::vector<Case> cases = {
+        // Unknown section.
+        {kernel_doc(on("cycles")), "expect[0]", "cycles",
+         "unknown section \"cycles\""},
+        {kernel_doc(on("totals.cycles")), "expect[0]", "totals.cycles",
+         "unknown section \"totals\""},
+        // Unknown field, in each section.
+        {kernel_doc(on("total.cyclez")), "expect[0]", "total.cyclez",
+         "unknown total field \"cyclez\""},
+        {kernel_doc(on("kernel.g.ipcc")), "expect[0]", "kernel.g.ipcc",
+         "unknown kernel field \"ipcc\""},
+        {kernel_doc(on("mem.no_such_counter")), "expect[0]",
+         "mem.no_such_counter", "unknown mem field \"no_such_counter\""},
+        {kernel_doc(on("event.e.latency")), "expect[0]", "event.e.latency",
+         "unknown event field \"latency\""},
+        {kernel_doc(on("verify.max_err")), "expect[0]", "verify.max_err",
+         "unknown verify field \"max_err\""},
+        {serving_doc(on("serve.latency_max_cycles")), "expect[0]",
+         "serve.latency_max_cycles",
+         "unknown serve field \"latency_max_cycles\""},
+        {fault_doc(on("fault.hang")), "expect[0]", "fault.hang",
+         "unknown fault field \"hang\""},
+        {kernel_doc(on("kernel.g")), "expect[0]", "kernel.g",
+         "want kernel.<name>.<field>"},
+        // Unknown stall reason, under total and under a kernel.
+        {kernel_doc(on("total.stall.no_such_reason")), "expect[0]",
+         "total.stall.no_such_reason",
+         "unknown stall reason \"no_such_reason\""},
+        {kernel_doc(on("kernel.g.stall.no_such_reason")), "expect[0]",
+         "kernel.g.stall.no_such_reason",
+         "unknown stall reason \"no_such_reason\""},
+        // Unknown kernel; an event no kernel records.
+        {kernel_doc(on("kernel.other.cycles")), "expect[0]",
+         "kernel.other.cycles", "unknown kernel \"other\""},
+        {kernel_doc(on("event.ghost.cycle")), "expect[0]",
+         "event.ghost.cycle", "no kernel records event \"ghost\""},
+        // A percentile that is not listed, or not a number.
+        {serving_doc(on("serve.latency_p99.9")), "expect[0]",
+         "serve.latency_p99.9",
+         "percentile 99.9 is not in serving.percentiles"},
+        {serving_doc(on("serve.latency_p99x")), "expect[0]",
+         "serve.latency_p99x", "percentile \"99x\" is not a number"},
+        // Each missing facet.
+        {kernel_doc(on("fault.hangs")), "expect[0]", "fault.hangs",
+         "needs a \"faults\" object"},
+        {serving_doc(on("serve.goodput")), "expect[0]", "serve.goodput",
+         "needs a serving.resilience object"},
+        {kernel_doc(on("serve.completed")), "expect[0]", "serve.completed",
+         "needs a \"serving\" scenario"},
+        {fault_doc(on("serve.shed")), "expect[0]", "serve.shed",
+         "needs a \"serving\" scenario"},
+        {serving_doc(on("kernel.fc1.cycles")), "expect[0]",
+         "kernel.fc1.cycles", "a \"serving\" scenario reports"},
+        {serving_doc(on("event.e.cycle")), "expect[0]", "event.e.cycle",
+         "a \"serving\" scenario reports"},
+        {serving_doc(on("verify.max_rel_err")), "expect[0]",
+         "verify.max_rel_err", "a \"serving\" scenario reports"},
+        {fault_doc(on("verify.max_rel_err")), "expect[0]",
+         "verify.max_rel_err", "needs a functional kernel"},
+        {kernel_doc(on("kernel.g.verify_rel_err")), "expect[0]",
+         "kernel.g.verify_rel_err", "needs a functional kernel"},
+        // The position names the failing entry.
+        {kernel_doc(on("total.cycles") + ", " + on("mem.l1_hitz")),
+         "expect[1]", "mem.l1_hitz", "unknown mem field \"l1_hitz\""},
+    };
+    for (const Case& c : cases) {
+        const std::string err = parse_error(c.doc);
+        EXPECT_EQ(err.rfind("m.json: " + c.where + ": metric \"" + c.path +
+                                "\": " + c.why,
+                            0),
+                  0u)
+            << c.path << " -> " << err;
+    }
+
+    // The same kinds of error inside a sweep point.
+    auto sweep_doc = [](const std::string& point_expect) {
+        return R"({"name": "w", "gpu": {"num_sms": 2},
+          "kernels": [{"kernel": "hmma_stress", "name": "p"}],
+          "sweep": {"fork_cycle": 100, "points": [
+            {"name": "a", "kernels": [{"kernel": "hmma_stress",
+                                       "name": "q"}],
+             "expect": [)" +
+               on("kernel.q.cycles") + ", " + point_expect + "]}]}}";
+    };
+    const std::vector<std::pair<std::string, std::string>> sweep_cases = {
+        {"total.cyclez", "unknown total field \"cyclez\""},
+        {"kernel.nope.cycles", "unknown kernel \"nope\""},
+        {"kernel.q.stall.nope", "unknown stall reason \"nope\""},
+        {"event.e.cycle", "no kernel records event \"e\""},
+        {"verify.max_rel_err", "needs a functional kernel"},
+        {"serve.completed", "needs a \"serving\" scenario"},
+        {"fault.hangs", "needs a \"faults\" object"},
+    };
+    for (const auto& [path, why] : sweep_cases) {
+        const std::string err = parse_error(sweep_doc(on(path)));
+        EXPECT_EQ(err.rfind("m.json: sweep.points[0].expect[1]: metric \"" +
+                                path + "\": " + why,
+                            0),
+                  0u)
+            << path << " -> " << err;
+    }
+    // A point kernel is in scope for its own point's expectations.
+    EXPECT_EQ(parse_error(sweep_doc(on("kernel.p.stall.scoreboard"))), "");
+}
+
+namespace {
+
+/** @p report's numeric fields that metrics address, flattened to
+ *  "total.stalls.mshr_full", "kernels[g].cycles", ... -> value. */
+void
+flatten(const JsonValue& v, const std::string& at,
+        std::map<std::string, double>* out)
+{
+    if (v.is_number())
+        (*out)[at] = v.as_number();
+    if (v.is_object())
+        for (const auto& [key, child] : v.as_object())
+            flatten(child, at + "." + key, out);
+}
+
+std::map<std::string, double>
+report_fields(const JsonValue& result)
+{
+    std::map<std::string, double> out;
+    for (const char* block : {"total", "mem", "serve", "fault"})
+        if (const JsonValue* b = result.find(block))
+            flatten(*b, block, &out);
+    for (const char* list : {"kernels", "events"})
+        if (const JsonValue* l = result.find(list))
+            for (const JsonValue& item : l->as_array())
+                flatten(item,
+                        std::string(list) + "[" +
+                            item.find("name")->as_string() + "]",
+                        &out);
+    return out;
+}
+
+/** Where the report puts metric @p path, spelled as report_fields
+ *  keys; @p result names the kernels and events. */
+std::string
+report_address(const std::string& path, const JsonValue& result)
+{
+    const size_t dot = path.find('.');
+    const std::string section = path.substr(0, dot);
+    std::string field = path.substr(dot + 1);
+    auto stalls = [](const std::string& f) {
+        return f.rfind("stall.", 0) == 0 ? "stalls." + f.substr(6) : f;
+    };
+    if (section == "kernel" || section == "event") {
+        const std::string list = section + "s";
+        std::string name;
+        for (const JsonValue& item : result.find(list.c_str())->as_array()) {
+            const std::string& n = item.find("name")->as_string();
+            if (field.rfind(n + ".", 0) == 0 && n.size() > name.size())
+                name = n;
+        }
+        return list + "[" + name + "]." + stalls(field.substr(name.size() + 1));
+    }
+    if (section == "serve") {
+        for (const char* r : {"deadline_miss", "goodput", "retries", "shed",
+                              "dropped", "killed_batches"})
+            if (field == r)
+                return "serve.resilience." + field;
+        for (const auto& [stem, group] :
+             std::vector<std::pair<std::string, std::string>>{
+                 {"latency_", "latency_cycles"},
+                 {"queue_wait_", "queue_wait_cycles"},
+                 {"queue_depth_", "queue_depth"}})
+            if (field.rfind(stem, 0) == 0)
+                return "serve." + group + "." + field.substr(stem.size());
+    }
+    return section + "." + stalls(field);
+}
+
+}  // namespace
+
+TEST(ScenarioRun, MetricTableMatchesReport)
+{
+    // On a functional-kernel run, a serving run with resilience and
+    // extra percentiles, and a fault run, every path the table accepts
+    // resolves to the value the report carries at that path's place,
+    // and every numeric report field is some path's place.
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        runs = {
+            {kernel_doc(on("total.cycles")),
+             {"kernel.f.verify_rel_err", "verify.max_rel_err",
+              "event.e.cycle", "kernel.g.stall.scoreboard", "mem.l1_hits"}},
+            {serving_doc(on("serve.latency_p99.5"), R"({"deadline_us": 5})"),
+             {"serve.latency_p12.25", "serve.goodput", "serve.queue_depth_peak",
+              "total.stall.tc_busy"}},
+            {fault_doc(on("fault.slowdowns")),
+             {"fault.hangs", "fault.disabled_sms", "kernel.h.stall_cycles"}},
+        };
+    for (const auto& [doc, must_accept] : runs) {
+        const Scenario sc = parse_scenario_text(doc);
+        const std::vector<std::string> paths = metric_paths(sc);
+        for (const std::string& p : must_accept)
+            EXPECT_NE(std::find(paths.begin(), paths.end(), p), paths.end())
+                << sc.name << ": " << p;
+
+        BatchReport batch;
+        batch.results.push_back(run_scenario(sc));
+        const ScenarioResult& r = batch.results[0];
+        ASSERT_TRUE(r.error.empty()) << r.error;
+        const JsonValue result =
+            report_to_json(batch).find("results")->as_array()[0];
+        const std::map<std::string, double> fields = report_fields(result);
+        std::set<std::string> addressed;
+        for (const std::string& p : paths) {
+            EXPECT_NO_THROW(check_metric(p, sc)) << p;
+            const double value = resolve_metric(r, p);
+            if (p == "verify.max_rel_err") {
+                // The report carries it as the implicit verify assertion.
+                const JsonValue& a = result.find("assertions")->as_array()[0];
+                EXPECT_EQ(a.find("metric")->as_string(), p);
+                EXPECT_EQ(a.find("value")->as_number(), value);
+                continue;
+            }
+            const std::string at = report_address(p, result);
+            addressed.insert(at);
+            const auto it = fields.find(at);
+            if (it == fields.end()) {
+                // Only a stall reason that never occurred is left out.
+                EXPECT_NE(at.find(".stalls."), std::string::npos)
+                    << sc.name << ": " << p << " -> " << at;
+                EXPECT_EQ(value, 0.0) << p;
+            } else {
+                EXPECT_EQ(value, it->second) << p << " -> " << at;
+            }
+        }
+        for (const auto& [at, value] : fields)
+            EXPECT_TRUE(addressed.count(at) || at == "serve.flops")
+                << sc.name << ": no metric addresses " << at;
+    }
 }

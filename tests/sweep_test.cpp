@@ -250,6 +250,22 @@ TEST(SweepParse, AttachSweepMatchesInline)
     EXPECT_THROW(attach_sweep(&base, grid, "grid.json"), ScenarioError);
 }
 
+TEST(SweepParse, AttachSweepRejectsFaults)
+{
+    // Forks restore onto a healthy chip, so --grid on a faulty scenario
+    // is rejected like an inline "sweep" next to "faults" (a point's
+    // fault.* assertion would otherwise read counters no fork keeps).
+    Scenario base = parse_scenario_text(R"({
+      "name": "faulty", "gpu": {"num_sms": 4},
+      "faults": {"disabled_sms": [0]},
+      "kernels": [{"kernel": "wmma_naive", "name": "warm"}]
+    })");
+    JsonValue grid = json_parse(R"({"fork_cycle": 10, "points": [
+      {"name": "p", "kernels": [{"kernel": "wmma_naive", "name": "g"}],
+       "expect": [{"metric": "fault.disabled_sms", "equals": 1}]}]})");
+    EXPECT_THROW(attach_sweep(&base, grid, "grid.json"), ScenarioError);
+}
+
 TEST(SweepRun, ForkedMatchesColdAtEveryThreadCount)
 {
     Scenario sc = parse_scenario_text(sweep_text());
