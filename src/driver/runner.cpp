@@ -792,13 +792,11 @@ report_to_json(const BatchReport& report)
         // Replay cache (only when the run had it enabled, so replay-off
         // reports stay byte-identical to pre-replay ones).
         if (r.replay_mode != 0) {
-            static const char* kModeNames[] = {"off", "record", "replay",
-                                               "verify"};
+            static const char* kModeNames[] = {"off", "record", "replay"};
             JsonValue replay = JsonValue::object();
-            replay.set("mode", kModeNames[r.replay_mode & 3]);
+            replay.set("mode", kModeNames[r.replay_mode]);
             replay.set("hits", r.totals.replay_hits);
             replay.set("misses", r.totals.replay_misses);
-            replay.set("verified", r.totals.replay_verified);
             jr.set("replay", std::move(replay));
         }
 

@@ -96,7 +96,7 @@ struct ScenarioResult
     FaultCounters fault_counters;
 
     /** Resolved SimOptions::ReplayMode the run used (0 = off); the
-     *  hit/miss/verified counters live in `totals`. */
+     *  hit/miss counters live in `totals`. */
     int replay_mode = 0;
 
     // Sweep metadata (set by run_sweep; sweep_point empty otherwise).

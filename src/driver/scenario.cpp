@@ -1029,8 +1029,7 @@ parse_scenario(const JsonValue& doc, const std::string& file)
     if (const JsonValue* sim = doc.find("sim")) {
         check_keys(*sim,
                    {"scheduler", "max_cycles", "sim_threads", "idle_skip",
-                    "min_sms", "replay", "replay_verify_every",
-                    "replay_verify_bound"},
+                    "min_sms", "replay"},
                    "sim", file);
         sc.sim.scheduler =
             parse_scheduler(get_string(*sim, "scheduler", "gto"), file);
@@ -1063,23 +1062,9 @@ parse_scenario(const JsonValue& doc, const std::string& file)
                 sc.sim.replay_mode = SimOptions::ReplayMode::kRecord;
             else if (mode == "replay")
                 sc.sim.replay_mode = SimOptions::ReplayMode::kReplay;
-            else if (mode == "verify")
-                sc.sim.replay_mode = SimOptions::ReplayMode::kVerify;
             else
-                fail(file, "sim.replay must be \"off\", \"record\", "
-                           "\"replay\" or \"verify\"");
-        }
-        if (const JsonValue* v = sim->find("replay_verify_every")) {
-            int64_t n = v->as_int();
-            if (n < 1)
-                fail(file, "sim.replay_verify_every must be >= 1");
-            sc.sim.replay_verify_every = static_cast<int>(n);
-        }
-        if (const JsonValue* v = sim->find("replay_verify_bound")) {
-            double b = v->as_number();
-            if (b < 0)
-                fail(file, "sim.replay_verify_bound must be >= 0");
-            sc.sim.replay_verify_bound = b;
+                fail(file, "sim.replay must be \"off\", \"record\" or "
+                           "\"replay\"");
         }
     }
 

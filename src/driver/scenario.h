@@ -21,11 +21,9 @@
  *                                    // results are thread-invariant
  *             "idle_skip": true,     // false = lockstep main loop
  *             "min_sms": 0,          // floor on the SM-array size
- *             "replay": "off" | "record" | "replay" | "verify",
+ *             "replay": "off" | "record" | "replay"},
  *                                    // kernel-timing replay cache (see
  *                                    // SimOptions::replay_mode)
- *             "replay_verify_every": 8,   // verify 1-in-N replays
- *             "replay_verify_bound": 0.05},  // max rel cycle error
  *     "tensors": [                          // declarative form only
  *       {"name": "A0", "bytes": 32768},     // bump-placed, 256-aligned
  *       {"name": "A0_lo", "alias_of": "A0", // declared view (overlap

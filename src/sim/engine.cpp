@@ -344,19 +344,6 @@ ExecutionEngine::classify_replay(Launch* l, uint64_t now)
     }
 
     ++rs.stats.replay_hits;
-    if (opts_.replay_mode == SimOptions::ReplayMode::kVerify) {
-        // Deterministic 1-in-N sampling: the first hit always
-        // verifies, then every replay_verify_every-th.
-        uint64_t n = std::max(1, opts_.replay_verify_every);
-        bool verify = rs.replay_attempts % n == 0;
-        ++rs.replay_attempts;
-        if (verify) {
-            l->verify_expect = std::move(profile);
-            ++rs.stats.replay_verified;
-            return;  // Runs in detail; retire compares.
-        }
-    }
-
     // Replay: no CTA ever dispatches (pending() is false from the
     // start); the grid completes at replay_done with the profile's
     // statistics applied as deltas.  Stream/event ordering is
@@ -368,77 +355,48 @@ ExecutionEngine::classify_replay(Launch* l, uint64_t now)
 }
 
 void
-ExecutionEngine::record_occupancy(uint64_t now)
+ExecutionEngine::sample_occupancy(Launch& l, uint64_t now)
 {
-    RunState& rs = *run_;
-    for (const GridRun* g : completions_) {
-        for (auto& l : rs.resident) {
-            if (&l->grid != g)
-                continue;
-            if (l->record_key.empty())
-                break;
-            OccupancyPhase ph;
-            ph.offset = now - l->grid.start_cycle;
-            ph.ctas_left = static_cast<uint32_t>(l->desc.grid_ctas -
-                                                 l->grid.ctas_done);
-            // One sample per tick: completions in the same cycle
-            // collapse onto the last (ctas_done already counts them
-            // all by commit time).
-            if (!l->occupancy.empty() &&
-                l->occupancy.back().offset == ph.offset)
-                l->occupancy.back() = ph;
-            else
-                l->occupancy.push_back(ph);
-            // Compact deterministically: keep every 2nd sample once
-            // the scratch outgrows the profile bound.
-            if (l->occupancy.size() > kMaxOccupancyPhases) {
-                size_t out = 0;
-                for (size_t i = 1; i < l->occupancy.size(); i += 2)
-                    l->occupancy[out++] = l->occupancy[i];
-                l->occupancy.resize(out);
-            }
-            break;
-        }
+    OccupancyPhase ph;
+    ph.offset = now - l.grid.start_cycle;
+    ph.ctas_left =
+        static_cast<uint32_t>(l.desc.grid_ctas - l.grid.ctas_done);
+    // One sample per tick: completions in the same cycle collapse onto
+    // the last (ctas_done already counts them all by commit time).
+    if (!l.occupancy.empty() && l.occupancy.back().offset == ph.offset)
+        l.occupancy.back() = ph;
+    else
+        l.occupancy.push_back(ph);
+    // Compact deterministically: keep every 2nd sample once the
+    // scratch outgrows the profile bound.
+    if (l.occupancy.size() > kMaxOccupancyPhases) {
+        size_t out = 0;
+        for (size_t i = 1; i < l.occupancy.size(); i += 2)
+            l.occupancy[out++] = l.occupancy[i];
+        l.occupancy.resize(out);
     }
-    completions_.clear();
 }
 
 void
-ExecutionEngine::finish_replay(Launch& l, const LaunchStats& ls)
+ExecutionEngine::record_profile(Launch& l, const LaunchStats& ls)
+{
+    if (l.record_key.empty() || !replay_cache_)
+        return;
+    KernelTimingProfile p;
+    p.cycles = ls.cycles;
+    p.instructions = ls.instructions;
+    p.hmma_instructions = ls.hmma_instructions;
+    p.mem = ls.mem;
+    p.stalls = ls.stalls;
+    p.macro_latency = ls.macro_latency;
+    p.occupancy = std::move(l.occupancy);
+    replay_cache_->record(l.record_key, l.record_seq, std::move(p));
+}
+
+void
+ExecutionEngine::retire(Launch& l, LaunchStats ls)
 {
     RunState& rs = *run_;
-    if (l.verify_expect) {
-        const KernelTimingProfile& p = *l.verify_expect;
-        double detailed = static_cast<double>(ls.cycles);
-        double recorded = static_cast<double>(p.cycles);
-        double rel = detailed > 0
-                         ? std::abs(recorded - detailed) / detailed
-                         : 0.0;
-        if (rel > opts_.replay_verify_bound ||
-            ls.instructions != p.instructions)
-            throw std::runtime_error(detail::format(
-                "replay verify: kernel \"%s\" diverged from its recorded "
-                "profile (cycles %llu recorded vs %llu detailed, rel err "
-                "%.4f > bound %.4f%s)",
-                l.desc.name.c_str(),
-                static_cast<unsigned long long>(p.cycles),
-                static_cast<unsigned long long>(ls.cycles), rel,
-                opts_.replay_verify_bound,
-                ls.instructions != p.instructions
-                    ? "; instruction counters differ"
-                    : ""));
-    }
-    if (!l.record_key.empty() && replay_cache_) {
-        KernelTimingProfile p;
-        p.cycles = ls.cycles;
-        p.instructions = ls.instructions;
-        p.hmma_instructions = ls.hmma_instructions;
-        p.mem = ls.mem;
-        p.stalls = ls.stalls;
-        p.macro_latency = ls.macro_latency;
-        p.occupancy = std::move(l.occupancy);
-        replay_cache_->record(l.record_key, l.record_seq, std::move(p));
-    }
     if (l.replay_profile) {
         // The memory system and SMs never saw a replayed launch's
         // traffic: accumulate its recorded deltas for fill_totals.
@@ -450,6 +408,89 @@ ExecutionEngine::finish_replay(Launch& l, const LaunchStats& ls)
     // warmth sequence the detailed run it mirrors did.
     rs.any_finished = true;
     rs.last_finished_key = l.desc.timing_key;
+    rs.stats.kernels.push_back(std::move(ls));
+    if (rs.stream_runs[l.stream_run].live == &l)
+        rs.stream_runs[l.stream_run].live = nullptr;
+    retiring_.push_back(&l.grid);
+    l.retired = true;
+}
+
+ExecutionEngine::LaunchPass
+ExecutionEngine::advance_launches(uint64_t now)
+{
+    RunState& rs = *run_;
+    LaunchPass pass;
+    retiring_.clear();
+    for (const auto& lp : rs.resident) {
+        Launch& l = *lp;
+        if (!l.record_key.empty())
+            for (const GridRun* g : completions_)
+                if (g == &l.grid)
+                    sample_occupancy(l, now);
+        LaunchState st = l.state(now);
+        if (st == LaunchState::kReplaying && now >= l.replay_done) {
+            // A replayed launch drains by the clock.  Unconditional on
+            // replay_mode, so a snapshot captured mid-replay resumes
+            // correctly on a replay-off engine.
+            l.grid.ctas_done = l.desc.grid_ctas;
+            l.grid.finish_cycle = l.replay_done;
+            st = l.state(now);
+        }
+        if (st == LaunchState::kDrained && l.fault_release == 0) {
+            // Drain: the profile takes the natural statistics, then a
+            // slowdown sets its hold on top of the natural duration.
+            LaunchStats natural = finalize(l);
+            record_profile(l, natural);
+            if (l.fault_slowdown > 1.0) {
+                const uint64_t dur = natural.cycles;
+                const auto held = static_cast<uint64_t>(std::ceil(
+                    l.fault_slowdown * static_cast<double>(dur)));
+                l.fault_release =
+                    l.grid.start_cycle + std::max(held, dur) - 1;
+            }
+            if (l.fault_release <= l.grid.finish_cycle) {
+                retire(l, std::move(natural));
+                pass.retired = true;
+                continue;
+            }
+            st = l.state(now);
+        }
+        switch (st) {
+          case LaunchState::kDispatching:
+            if (!pass.undispatched && l.grid.pending())
+                pass.undispatched = &l;
+            break;
+          case LaunchState::kReplaying:
+            pass.next_event = std::min(pass.next_event, l.replay_done);
+            break;
+          case LaunchState::kHeld:
+            pass.next_event = std::min(pass.next_event, l.fault_release);
+            break;
+          case LaunchState::kHung:
+            ++pass.hung;
+            break;
+          case LaunchState::kDrained:
+            // A released slowdown hold: the launch finishes at release.
+            fault_plan_->add_slowdown_cycles(l.fault_release -
+                                             l.grid.finish_cycle);
+            l.grid.finish_cycle = l.fault_release;
+            retire(l, finalize(l));
+            pass.retired = true;
+            break;
+        }
+    }
+    if (pass.retired) {
+        // One forget pass over the SMs for every launch retired this
+        // tick (a per-launch pass was O(SMs x resident^2) on grid-heavy
+        // ticks).
+        for (auto& sm : rs.sms)
+            sm->forget_grids(retiring_);
+        std::erase_if(rs.resident, [](const std::unique_ptr<Launch>& l) {
+            return l->retired;
+        });
+        retiring_.clear();
+    }
+    return pass;
 }
 
 LaunchStats
@@ -468,22 +509,18 @@ ExecutionEngine::finalize(Launch& l) const
         const KernelTimingProfile& p = *l.replay_profile;
         s.instructions = p.instructions;
         s.hmma_instructions = p.hmma_instructions;
-        s.ipc = s.cycles > 0 ? static_cast<double>(s.instructions) /
-                                   static_cast<double>(s.cycles)
-                             : 0.0;
         s.mem = p.mem;
         s.macro_latency = p.macro_latency;
         s.stalls = p.stalls;
-        return s;
+    } else {
+        s.instructions = l.grid.stats.instructions();
+        s.hmma_instructions = l.grid.stats.hmma_instructions();
+        s.mem = mem_->stats().since(l.mem_base);
+        s.macro_latency = l.grid.stats.merged_macro_latency();
+        s.stalls = l.grid.stats.stalls();
     }
-    s.instructions = l.grid.stats.instructions();
-    s.hmma_instructions = l.grid.stats.hmma_instructions();
-    s.ipc = s.cycles > 0 ? static_cast<double>(s.instructions) /
-                               static_cast<double>(s.cycles)
-                         : 0.0;
-    s.mem = mem_->stats().since(l.mem_base);
-    s.macro_latency = l.grid.stats.merged_macro_latency();
-    s.stalls = l.grid.stats.stalls();
+    s.ipc = static_cast<double>(s.instructions) /
+            static_cast<double>(s.cycles);
     return s;
 }
 
@@ -561,17 +598,6 @@ ExecutionEngine::report_deadlock()
         wait_graph_string());
 }
 
-bool
-ExecutionEngine::any_fault_hung() const
-{
-    if (!run_)
-        return false;
-    for (const auto& l : run_->resident)
-        if (l->fault_hung)
-            return true;
-    return false;
-}
-
 std::string
 ExecutionEngine::hang_dump(const std::string& reason) const
 {
@@ -590,15 +616,22 @@ ExecutionEngine::hang_dump(const std::string& reason) const
             out += " " + std::to_string(id);
         out += "\n";
     }
+    // In LaunchState order.
+    static const char* kStateNames[] = {"dispatching", "replaying until",
+                                        "drained", "held until", "hung"};
     for (const auto& l : rs.resident) {
-        const char* hold = l->fault_hung ? " [fault: hung]"
-                           : l->fault_release > rs.now
-                               ? " [fault: slowdown hold]"
-                               : "";
-        out += detail::format(
-            "  resident: \"%s\" stream=%d grid=%d ctas %d/%d done%s\n",
-            l->desc.name.c_str(), l->grid.stream_id, l->grid.grid_id,
-            l->grid.ctas_done, l->desc.grid_ctas, hold);
+        const LaunchState st = l->state(rs.now);
+        std::string state = kStateNames[static_cast<int>(st)];
+        if (st == LaunchState::kDispatching)
+            state += detail::format(" %d/%d", l->grid.ctas_done,
+                                    l->desc.grid_ctas);
+        if (st == LaunchState::kReplaying)
+            state += " " + std::to_string(l->replay_done);
+        if (st == LaunchState::kHeld)
+            state += " " + std::to_string(l->fault_release);
+        out += detail::format("  resident: \"%s\" stream=%d grid=%d %s\n",
+                              l->desc.name.c_str(), l->grid.stream_id,
+                              l->grid.grid_id, state.c_str());
     }
     out += wait_graph_string();
     return out;
@@ -608,8 +641,8 @@ ExecutionEngine::StepResult
 ExecutionEngine::step(uint64_t bound)
 {
     RunState& rs = *run_;
-    uint64_t now = rs.now;
-    bool ops = promote_streams(now);
+    const uint64_t now = rs.now;
+    const bool ops = promote_streams(now);
     if (callbacks_fired_) {
         // A host callback may have enqueued work — possibly onto a
         // stream created inside the callback.  Re-fetch the live
@@ -622,8 +655,7 @@ ExecutionEngine::step(uint64_t bound)
 
     bool dispatch_pending = false;
     for (const auto& l : rs.resident)
-        if (l->grid.pending())
-            dispatch_pending = true;
+        dispatch_pending |= l->grid.pending();
 
     // Select the SMs that tick this cycle: every SM while CTAs await
     // dispatch (any SM may accept one — and idle SMs' schedulers
@@ -686,17 +718,11 @@ ExecutionEngine::step(uint64_t bound)
 
     // Phase C (engine thread, SM-index order): apply the staged
     // functional global-memory accesses and grid CTA completions.
-    // Replay recording also wants completions: each one becomes an
-    // occupancy-timeline sample in the launch's profile.
-    bool recording = false;
-    for (const auto& l : rs.resident)
-        if (!l->record_key.empty())
-            recording = true;
+    // With a replay cache, completions are also collected: each one
+    // becomes an occupancy sample in a recording launch's profile.
     completions_.clear();
     for (SM* sm : cycled_)
-        sm->commit_tick(recording ? &completions_ : nullptr);
-    if (recording)
-        record_occupancy(now);
+        sm->commit_tick(replay_cache_ ? &completions_ : nullptr);
 
     // The busy list for the next tick, ascending.  A dispatch tick
     // cycled every SM; otherwise the list shrinks by the SMs that
@@ -713,151 +739,86 @@ ExecutionEngine::step(uint64_t bound)
     }
     ++rs.stats.ticks;
 
-    // Replayed launches complete by the clock, not by CTA drain: mark
-    // each one done once its recorded duration elapses.  Unconditional
-    // on replay_mode so a snapshot captured mid-replay resumes
-    // correctly on a replay-off engine.
-    for (const auto& l : rs.resident) {
-        if (l->replay_profile && !l->grid.done() && now >= l->replay_done) {
-            l->grid.ctas_done = l->desc.grid_ctas;
-            l->grid.finish_cycle = l->replay_done;
-        }
-    }
-
-    // Retire launches whose last CTA drained this tick: finalize in
-    // residency order, then one forget pass over the SMs for all of
-    // them together (the per-launch pass inside the erase loop was
-    // O(SMs x resident^2) on grid-heavy ticks).
-    bool retired = false;
-    retiring_.clear();
-    for (const auto& l : rs.resident) {
-        if (!l->grid.done())
-            continue;
-        // Fault holds: a hung launch never signals completion (its
-        // stream stays blocked until kill_stream() or a watchdog), a
-        // slowed one is held until its stretched duration elapses.
-        if (l->fault_hung)
-            continue;
-        if (l->fault_slowdown > 1.0 && l->fault_release == 0) {
-            const uint64_t dur =
-                l->grid.finish_cycle - l->grid.start_cycle + 1;
-            const auto held = static_cast<uint64_t>(std::ceil(
-                l->fault_slowdown * static_cast<double>(dur)));
-            l->fault_release =
-                l->grid.start_cycle + std::max(held, dur) - 1;
-        }
-        if (l->fault_release > now)
-            continue;
-        if (l->fault_release > l->grid.finish_cycle) {
-            fault_plan_->add_slowdown_cycles(l->fault_release -
-                                             l->grid.finish_cycle);
-            l->grid.finish_cycle = l->fault_release;
-        }
-        rs.last_finish = std::max(rs.last_finish, l->grid.finish_cycle);
-        rs.stats.kernels.push_back(finalize(*l));
-        finish_replay(*l, rs.stats.kernels.back());
-        if (rs.stream_runs[l->stream_run].live == l.get())
-            rs.stream_runs[l->stream_run].live = nullptr;
-        retiring_.push_back(&l->grid);
-        l->retired = true;
-        retired = true;
-    }
-    if (retired) {
-        for (auto& sm : rs.sms)
-            sm->forget_grids(retiring_);
-        std::erase_if(rs.resident,
-                      [](const std::unique_ptr<Launch>& l) {
-                          return l->retired;
-                      });
-        retiring_.clear();
-    }
+    const LaunchPass pass = advance_launches(now);
     if (drained())
         return StepResult::kDrained;
 
     // Next tick: the successor of a retired launch (or of a processed
     // record/wait/callback) becomes dispatchable next cycle; otherwise
-    // jump to the next event when the whole chip is provably stalled.
-    // Only busy SMs are consulted, and each answers from the O(1)
-    // next-event cache its compute phase filled in.
+    // jump to the next scheduled event.
     uint64_t next = now + 1;
-    if (!launched && !retired && !ops) {
-        uint64_t e = UINT64_MAX;
-        for (int id : rs.busy_sms)
-            e = std::min(e, rs.sms[static_cast<size_t>(id)]
-                                ->next_event_cached());
-        // Replayed launches never touch an SM: their scheduled
-        // completion is the only event that will unblock them (and a
-        // replay-only chip would otherwise trip the dead-chip panic).
-        for (const auto& l : rs.resident)
-            if (l->replay_profile && !l->grid.done())
-                e = std::min(e, l->replay_done);
-        // A slowdown-held launch retires at fault_release: that is a
-        // scheduled event (a hung launch schedules nothing — only
-        // host action or a watchdog ends it).
-        for (const auto& l : rs.resident)
-            if (l->grid.done() && !l->fault_hung && l->fault_release > now)
-                e = std::min(e, l->fault_release);
-        if (e == UINT64_MAX) {
-            if (!rs.resident.empty()) {
-                bool all_hung = true;
-                for (const auto& l : rs.resident)
-                    all_hung &= l->grid.done() && l->fault_hung;
-                if (all_hung) {
-                    // Every resident kernel is an injected hang: the
-                    // chip is quiescent and only host action (a
-                    // kill_stream, a watchdog) can end the run.
-                    // Blocked, not a bug.
-                    return StepResult::kBlocked;
-                }
-                // An enabled fault plan can starve a pending grid for
-                // good: every SM is disabled or degraded below the
-                // kernel's CTA footprint.  That is scenario input, not
-                // a modelling bug — throw a typed error the batch
-                // driver can contain to one error row.
-                if (fault_plan_ && fault_plan_->enabled()) {
-                    for (const auto& l : rs.resident)
-                        if (l->grid.pending())
-                            throw SimError(hang_dump(detail::format(
-                                "faults: kernel \"%s\" is undispatchable "
-                                "— no enabled SM can accept its CTAs "
-                                "under the fault plan's disabled/degraded "
-                                "SMs",
-                                l->desc.name.c_str())));
-                }
-                // Work is on the chip but no SM can ever advance: an
-                // internal modelling bug, not a user-constructed
-                // dependency cycle.
-                size_t unfinished = rs.resident.size();
-                for (const StreamRun& sr : rs.stream_runs)
-                    unfinished += sr.stream->depth();
-                panic("engine stalled at cycle %llu with %zu kernels "
-                      "unfinished (first: %s)",
-                      static_cast<unsigned long long>(rs.now), unfinished,
-                      rs.resident[0]->desc.name.c_str());
-            }
-            // Only blocked waits remain; the clock stays put so the
-            // host may record the missing event and resume.
-            return StepResult::kBlocked;
-        }
+    if (!launched && !pass.retired && !ops) {
+        uint64_t e = next_scheduled_event(pass);
+        if (e == UINT64_MAX)
+            return unscheduled(pass);
         // Never leap past a bounded advance's target: the host has a
         // stimulus (a request arrival, a deadline) to deliver at
         // bound + 1, and a replay-heavy chip's next scheduled event can
         // be an entire kernel duration beyond it.
         if (bound != UINT64_MAX && e > bound + 1)
             e = std::max(bound + 1, now + 1);
+        // Lockstep (idle_skip off) ticks every cycle; e was still
+        // computed so unscheduled() catches a dead chip.
         if (e > now + 1 && opts_.idle_skip) {
             uint64_t gap = e - (now + 1);
             for (int id : rs.busy_sms)
                 rs.sms[static_cast<size_t>(id)]->account_skipped(gap);
             rs.stats.skipped_cycles += gap;
-            next = e;
-        } else if (opts_.idle_skip) {
-            next = e;
         }
-        // Lockstep (idle_skip off): tick every cycle; e was still
-        // computed so the dead-chip panic above catches real stalls.
+        if (opts_.idle_skip)
+            next = e;
     }
     rs.now = next;
+    check_watchdogs();
+    return StepResult::kRunning;
+}
+
+uint64_t
+ExecutionEngine::next_scheduled_event(const LaunchPass& pass) const
+{
+    // Only busy SMs are consulted, and each answers from the O(1)
+    // next-event cache its compute phase filled in.  A hung launch
+    // schedules nothing: only host action or a watchdog ends it.
+    uint64_t e = pass.next_event;
+    for (int id : run_->busy_sms)
+        e = std::min(e,
+                     run_->sms[static_cast<size_t>(id)]->next_event_cached());
+    return e;
+}
+
+ExecutionEngine::StepResult
+ExecutionEngine::unscheduled(const LaunchPass& pass)
+{
+    const RunState& rs = *run_;
+    // Only blocked waits remain, or every resident kernel is an
+    // injected hang: the clock stays put so the host may record the
+    // missing event, kill the hung stream, or let a watchdog fire.
+    if (pass.hung == rs.resident.size())
+        return StepResult::kBlocked;
+    // An enabled fault plan can starve a pending grid for good: every
+    // SM is disabled or degraded below the kernel's CTA footprint.
+    // That is scenario input, not a modelling bug — throw a typed
+    // error the batch driver can contain to one error row.
+    if (pass.undispatched && fault_plan_ && fault_plan_->enabled())
+        throw SimError(hang_dump(detail::format(
+            "faults: kernel \"%s\" is undispatchable — no enabled SM can "
+            "accept its CTAs under the fault plan's disabled/degraded SMs",
+            pass.undispatched->desc.name.c_str())));
+    // Work is on the chip but no SM can ever advance: an internal
+    // modelling bug, not a user-constructed dependency cycle.
+    size_t unfinished = rs.resident.size();
+    for (const StreamRun& sr : rs.stream_runs)
+        unfinished += sr.stream->depth();
+    panic("engine stalled at cycle %llu with %zu kernels unfinished "
+          "(first: %s)",
+          static_cast<unsigned long long>(rs.now), unfinished,
+          rs.resident[0]->desc.name.c_str());
+}
+
+void
+ExecutionEngine::check_watchdogs() const
+{
+    const RunState& rs = *run_;
     if (rs.now > opts_.max_cycles) {
         // A user-settable limit, not an internal invariant: throw so
         // embedders (the scenario batch runner) can report one runaway
@@ -880,16 +841,16 @@ ExecutionEngine::step(uint64_t bound)
                 static_cast<unsigned long long>(opts_.wall_budget_ms),
                 static_cast<unsigned long long>(elapsed))));
     }
-    return StepResult::kRunning;
 }
 
 void
 ExecutionEngine::fill_totals(EngineStats* out) const
 {
-    out->cycles = out->kernels.empty() ? 0 : run_->last_finish + 1;
+    out->cycles = 0;
     out->instructions = 0;
     out->hmma_instructions = 0;
     for (const LaunchStats& k : out->kernels) {
+        out->cycles = std::max(out->cycles, k.finish_cycle + 1);
         out->instructions += k.instructions;
         out->hmma_instructions += k.hmma_instructions;
     }
@@ -949,8 +910,9 @@ ExecutionEngine::advance(DoneFn done, bool pause_on_block, uint64_t bound)
                 // A run-to-completion entry point cannot hand control
                 // back to the host: an injected hang is terminal here
                 // (a resumable run — run_until — pauses instead, so
-                // the serving loop can kill the batch and retry).
-                if (any_fault_hung())
+                // the serving loop can kill the batch and retry).  A
+                // run blocked with launches resident has only hung ones.
+                if (!run_->resident.empty())
                     throw SimHangError(hang_dump(detail::format(
                         "injected kernel hang wedged the run at cycle "
                         "%llu",
@@ -1010,7 +972,7 @@ ExecutionEngine::advance_idle_to(uint64_t cycle)
     // slowdown hold is NOT exempt: its release is a scheduled event
     // the jump would leap over.
     for (const auto& l : rs.resident)
-        if (!(l->grid.done() && l->fault_hung))
+        if (l->state(rs.now) != LaunchState::kHung)
             throw std::runtime_error(detail::format(
                 "advance_idle_to: chip is not idle at cycle %llu (%zu "
                 "kernel(s) resident)",
@@ -1056,11 +1018,11 @@ ExecutionEngine::kill_stream(Stream* stream)
     if (sr == nullptr || sr->live == nullptr)
         return;
     Launch* l = sr->live;
-    if (!l->grid.done())
+    if (executing(l->state(rs.now)))
         throw std::runtime_error(detail::format(
-            "kill_stream: launch \"%s\" on stream %d still has CTAs "
-            "executing at cycle %llu (%d/%d done); killing it would "
-            "leave SM state dangling",
+            "kill_stream: launch \"%s\" on stream %d is still executing "
+            "at cycle %llu (%d/%d CTAs done); killing it would leave SM "
+            "state dangling",
             l->desc.name.c_str(), stream->id(),
             static_cast<unsigned long long>(rs.now), l->grid.ctas_done,
             l->desc.grid_ctas));
@@ -1081,7 +1043,8 @@ ExecutionEngine::stream_quiescent(const Stream* stream) const
     if (!run_)
         return true;
     const StreamRun* sr = find_stream_run(stream);
-    return sr == nullptr || sr->live == nullptr || sr->live->grid.done();
+    return sr == nullptr || sr->live == nullptr ||
+           !executing(sr->live->state(run_->now));
 }
 
 RunProgress
@@ -1192,7 +1155,6 @@ ExecutionEngine::save_state(SnapshotWriter& w,
     const RunState& rs = *run_;
     w.tag(kTagEngine);
     w.u64(rs.now);
-    w.u64(rs.last_finish);
     w.i32(rs.next_grid_id);
     w.u64(rs.stats.ticks);
     w.u64(rs.stats.skipped_cycles);
@@ -1220,7 +1182,7 @@ ExecutionEngine::save_state(SnapshotWriter& w,
         save_run_stats(w, g.stats);
         save_mem_stats(w, l->mem_base);
         // Replay state: a launch may be mid-replay (profile + done
-        // cycle), recording (key + occupancy scratch), or verifying.
+        // cycle) or recording (key + occupancy scratch).
         w.b(l->replay_profile != nullptr);
         if (l->replay_profile) {
             save_profile(w, *l->replay_profile);
@@ -1228,9 +1190,6 @@ ExecutionEngine::save_state(SnapshotWriter& w,
         }
         w.str(l->record_key);
         w.u64(l->record_seq);
-        w.b(l->verify_expect != nullptr);
-        if (l->verify_expect)
-            save_profile(w, *l->verify_expect);
         w.u64(l->occupancy.size());
         for (const OccupancyPhase& ph : l->occupancy) {
             w.u64(ph.offset);
@@ -1257,13 +1216,12 @@ ExecutionEngine::save_state(SnapshotWriter& w,
     for (int id : rs.busy_sms)
         w.i32(id);
 
-    // Replay run-state: warmth trackers, verify sampling counter, the
-    // hit/miss/verified tallies, and the accumulated deltas of already
-    // retired replayed launches (fill_totals folds them into totals).
+    // Replay run-state: warmth trackers, the hit/miss tallies, and the
+    // accumulated deltas of already retired replayed launches
+    // (fill_totals folds them into totals).
     w.tag(kTagReplay);
     w.str(rs.last_finished_key);
     w.b(rs.any_finished);
-    w.u64(rs.replay_attempts);
     w.u64(rs.replay_seq.size());
     for (const auto& [key, seq] : rs.replay_seq) {
         w.str(key);
@@ -1271,7 +1229,6 @@ ExecutionEngine::save_state(SnapshotWriter& w,
     }
     w.u64(rs.stats.replay_hits);
     w.u64(rs.stats.replay_misses);
-    w.u64(rs.stats.replay_verified);
     save_mem_stats(w, rs.replay_mem);
     save_stalls(w, rs.replay_stalls);
 }
@@ -1294,7 +1251,6 @@ ExecutionEngine::load_state(SnapshotReader& r,
     callbacks_fired_ = false;
 
     rs.now = r.u64();
-    rs.last_finish = r.u64();
     rs.next_grid_id = r.i32();
     rs.stats.ticks = r.u64();
     rs.stats.skipped_cycles = r.u64();
@@ -1328,9 +1284,6 @@ ExecutionEngine::load_state(SnapshotReader& r,
         }
         l->record_key = r.str();
         l->record_seq = r.u64();
-        if (r.b())
-            l->verify_expect = std::make_unique<KernelTimingProfile>(
-                load_profile(r));
         uint64_t nocc = r.u64();
         l->occupancy.reserve(nocc);
         for (uint64_t o = 0; o < nocc; ++o) {
@@ -1394,7 +1347,6 @@ ExecutionEngine::load_state(SnapshotReader& r,
     r.tag(kTagReplay);
     rs.last_finished_key = r.str();
     rs.any_finished = r.b();
-    rs.replay_attempts = r.u64();
     uint64_t nseq = r.u64();
     for (uint64_t i = 0; i < nseq; ++i) {
         std::string key = r.str();
@@ -1402,7 +1354,6 @@ ExecutionEngine::load_state(SnapshotReader& r,
     }
     rs.stats.replay_hits = r.u64();
     rs.stats.replay_misses = r.u64();
-    rs.stats.replay_verified = r.u64();
     load_mem_stats(r, &rs.replay_mem);
     load_stalls(r, &rs.replay_stalls);
 }

@@ -44,6 +44,31 @@
  * staged side effects commit on the engine thread in SM-index order
  * (phase C).  Results are bit-identical for every thread count; see
  * README "Performance" for the determinism argument.
+ *
+ * Launch lifecycle.  A promoted launch is resident, either dispatching
+ * (its CTAs run on SMs) or replaying (a replay-cache hit: no CTA runs,
+ * and the grid drains by the clock at replay_done).  After phase C,
+ * one pass over the resident launches, in residency order, moves each
+ * one along:
+ *
+ *   queued ─promote─┬─▶ dispatching ─┬─drain─▶ drained ─────────▶ retired
+ *                   └─▶ replaying ───┘           │                  ▲
+ *                                                ├─slowdown─▶ held ─┘
+ *                                                │   (until fault_release)
+ *                                                └─hang─────▶ hung
+ *                                                    (until kill_stream)
+ *
+ * The state is derived from the launch's fields, never stored, so a
+ * snapshot carries it for free (fault holds excepted: Gpu::snapshot()
+ * refuses an enabled fault plan).  Drain is where a recording launch's
+ * profile is taken, so the profile holds the natural duration and a
+ * slowdown hold applies on top of it, whether the launch ran in detail
+ * or was replayed; a hung launch never signals completion and records
+ * nothing.  Retirement stamps the statistics entry and frees the
+ * stream.  The pass also yields the earliest replay completion or hold
+ * release, which next_scheduled_event() merges with the busy SMs' next
+ * events: the idle-skip target and the source of the dead-chip
+ * diagnostics.
  */
 
 #include <cstdint>
@@ -134,12 +159,10 @@ struct EngineStats
     uint64_t skipped_cycles = 0;
 
     /** Replay-cache telemetry (SimOptions::replay_mode): launches
-     *  completed from a recorded profile, launches simulated in
-     *  detail because no profile matched (these record one), and
-     *  replayed launches re-simulated by verify mode. */
+     *  completed from a recorded profile, and launches simulated in
+     *  detail because no profile matched (these record one). */
     uint64_t replay_hits = 0;
     uint64_t replay_misses = 0;
-    uint64_t replay_verified = 0;
 
     /** Engine clock when this result was produced.  For a paused run
      *  (run_until/synchronize) this is the next cycle the engine will
@@ -219,15 +242,6 @@ struct SimOptions
         kOff,     ///< Always simulate in detail (the default).
         kRecord,  ///< Detail everything; record profiles into the cache.
         kReplay,  ///< Replay fingerprint hits; detail + record misses.
-        kVerify,  ///< kReplay, but re-simulate 1-in-N hits in detail
-                  ///< and fail the run on divergence past the bound.
-                  ///< Strict by construction: the re-simulated kernel
-                  ///< runs beside *replayed* neighbors (which occupy
-                  ///< no SMs), so under concurrent workloads it lacks
-                  ///< the contention the profile was recorded under
-                  ///< and can flag divergence even when the
-                  ///< end-to-end replay is exact.  Best suited to
-                  ///< serial / sweep-style runs.
     };
     /**
      * Memoize detailed kernel executions and replay fingerprint-
@@ -239,12 +253,6 @@ struct SimOptions
      * always run in detail.
      */
     ReplayMode replay_mode = ReplayMode::kOff;
-    /** Verify mode: re-simulate every Nth fingerprint hit (the first
-     *  hit always verifies). */
-    int replay_verify_every = 8;
-    /** Verify mode: maximum |replayed - detailed| / detailed cycle
-     *  divergence; instruction counters must match exactly. */
-    double replay_verify_bound = 0.05;
     /**
      * Cache to consult and fill (borrowed; must outlive the engine).
      * Null with replay enabled = the engine lazily owns a private
@@ -388,6 +396,23 @@ class ExecutionEngine
     bool stream_quiescent(const Stream* stream) const;
 
   private:
+    /** A resident launch's lifecycle state (see the file comment). */
+    enum class LaunchState {
+        kDispatching,  ///< CTAs pending or running on SMs.
+        kReplaying,    ///< No CTAs; the grid drains at replay_done.
+        kDrained,      ///< Every CTA done; retires this pass unless held.
+        kHeld,         ///< Drained; a slowdown holds it to fault_release.
+        kHung,         ///< Drained; an injected hang holds it for good.
+    };
+
+    /** Dispatching and replaying launches are still executing: they
+     *  cannot be killed, and they keep a stream busy. */
+    static bool executing(LaunchState s)
+    {
+        return s == LaunchState::kDispatching ||
+               s == LaunchState::kReplaying;
+    }
+
     /** One in-flight launch: the owned descriptor plus grid state. */
     struct Launch
     {
@@ -399,11 +424,9 @@ class ExecutionEngine
 
         /** Replay cache (SimOptions::replay_mode).  record_key
          *  non-empty = this launch runs in detail and its profile is
-         *  recorded at retire.  replay_profile non-null = a hit: no
+         *  recorded at drain.  replay_profile non-null = a hit: no
          *  CTA ever dispatches and the grid completes at replay_done
-         *  with the profile's statistics.  verify_expect non-null =
-         *  a verify-mode hit running in detail; retire compares it
-         *  against the profile and throws on divergence. */
+         *  with the profile's statistics. */
         std::string record_key;
         /** Sequence slot assigned at promotion (per-run, per-key
          *  occurrence index); a recorded duration lands in this slot
@@ -411,7 +434,6 @@ class ExecutionEngine
         uint64_t record_seq = 0;
         std::unique_ptr<KernelTimingProfile> replay_profile;
         uint64_t replay_done = 0;
-        std::unique_ptr<KernelTimingProfile> verify_expect;
         /** Recording scratch: CTA-retirement samples, compacted to
          *  kMaxOccupancyPhases. */
         std::vector<OccupancyPhase> occupancy;
@@ -422,12 +444,23 @@ class ExecutionEngine
          *  blocked until kill_stream() or a watchdog contains it.  A
          *  slowed launch is held past its natural finish until
          *  fault_release (finish_cycle is stretched to match at
-         *  retirement).  All default-off fields: with no plan
-         *  installed the retire path is bit-identical to before. */
+         *  retirement).  Not serialized: Gpu::snapshot() refuses an
+         *  enabled fault plan. */
         bool fault_hung = false;
         double fault_slowdown = 1.0;
-        uint64_t fault_release = 0;  ///< 0 = not yet computed.
+        uint64_t fault_release = 0;  ///< 0 = no hold set at drain.
         bool retired = false;        ///< Finalized this tick; erase.
+
+        LaunchState state(uint64_t now) const
+        {
+            if (!grid.done())
+                return replay_profile ? LaunchState::kReplaying
+                                      : LaunchState::kDispatching;
+            if (fault_hung)
+                return LaunchState::kHung;
+            return fault_release > now ? LaunchState::kHeld
+                                       : LaunchState::kDrained;
+        }
     };
 
     /** Per-stream progress: launches run strictly in stream order. */
@@ -465,7 +498,6 @@ class ExecutionEngine
         std::vector<int> busy_sms;
         int next_grid_id = 0;
         uint64_t now = 0;
-        uint64_t last_finish = 0;
         /** Wall-clock watchdog anchor (SimOptions::wall_budget_ms). */
         std::chrono::steady_clock::time_point wall_start;
         /** Accumulates ticks/skipped_cycles and retired kernels. */
@@ -478,9 +510,6 @@ class ExecutionEngine
          *  detailed run recorded. */
         std::string last_finished_key;
         bool any_finished = false;
-        /** Verify mode: fingerprint hits seen so far (the 1-in-N
-         *  verification counter — deterministic, serialized). */
-        uint64_t replay_attempts = 0;
         /** Per-key hit counters: the i-th hit of a fingerprint is
          *  served the i-th recorded duration, so replaying a recorded
          *  trace walks the recorded sequence in order (serialized). */
@@ -551,16 +580,42 @@ class ExecutionEngine
      *  functional: replay would skip its data movement). */
     std::string replay_key(const KernelDesc& k) const;
     /** Classify a freshly promoted launch against the replay cache:
-     *  arm it for replay (hit), detailed verification (1-in-N hit in
-     *  verify mode), or record-at-retire (miss / record mode). */
+     *  arm it for replay (hit) or record-at-drain (miss / record
+     *  mode). */
     void classify_replay(Launch* l, uint64_t now);
-    /** Fold this tick's CTA completions into the occupancy scratch of
-     *  recording launches (record path of the profile timeline). */
-    void record_occupancy(uint64_t now);
-    /** Retire-side replay bookkeeping for @p l (finalized as @p ls):
-     *  verify divergence, record the profile, accumulate replayed
-     *  counter deltas, update warmth tracking. */
-    void finish_replay(Launch& l, const LaunchStats& ls);
+
+    /** What the launch pass found: the earliest replay completion or
+     *  hold release still ahead, whether anything retired, and what
+     *  the dead-chip diagnostics need. */
+    struct LaunchPass
+    {
+        uint64_t next_event = UINT64_MAX;
+        bool retired = false;
+        size_t hung = 0;
+        const Launch* undispatched = nullptr;  ///< First with CTAs pending.
+    };
+    /** The one pass over the resident launches after phase C: sample
+     *  recording launches' CTA completions, complete due replays,
+     *  record profiles and set slowdown holds at drain, retire, and
+     *  erase the retired. */
+    LaunchPass advance_launches(uint64_t now);
+    /** Append this tick's CTA-completion sample to @p l's occupancy
+     *  scratch (record path of the profile timeline). */
+    void sample_occupancy(Launch& l, uint64_t now);
+    /** Record @p l's profile from its natural (drain) statistics. */
+    void record_profile(Launch& l, const LaunchStats& ls);
+    /** Retire @p l with its final statistics @p ls. */
+    void retire(Launch& l, LaunchStats ls);
+    /** Earliest cycle anything is scheduled to change: the busy SMs'
+     *  cached next events and @p pass's launch events.  UINT64_MAX
+     *  when nothing is scheduled. */
+    uint64_t next_scheduled_event(const LaunchPass& pass) const;
+    /** Nothing is scheduled: blocked when only host action can move
+     *  the run (no resident launch, or all hung); a typed error for a
+     *  fault-starved grid; otherwise an engine bug. */
+    StepResult unscheduled(const LaunchPass& pass);
+    /** Throw SimHangError past max_cycles or the wall budget. */
+    void check_watchdogs() const;
     LaunchStats finalize(Launch& l) const;
     bool drained() const;
     /** Where the active run stands, else the last drained run's end. */
@@ -580,11 +635,9 @@ class ExecutionEngine
     /** Per-stream wait-graph lines of the current run (shared by the
      *  deadlock report and the hang dump). */
     std::string wait_graph_string() const;
-    /** Watchdog diagnostic: @p reason plus busy-SM list, resident
-     *  grids (with fault-hold markers), and the event wait graph. */
+    /** Watchdog diagnostic: @p reason plus busy-SM list, each
+     *  resident launch's lifecycle state, and the event wait graph. */
     std::string hang_dump(const std::string& reason) const;
-    /** Any resident launch held forever by an injected hang. */
-    bool any_fault_hung() const;
 
     const GpuConfig& cfg_;
     SimOptions opts_;
@@ -612,7 +665,8 @@ class ExecutionEngine
     std::vector<SM*> cycled_;
     /** Scratch: grids retiring this tick (batched forget pass). */
     std::vector<const GridRun*> retiring_;
-    /** Scratch: CTA completions this tick (replay recording). */
+    /** Scratch: CTA completions this tick (replay recording; only
+     *  collected when a replay cache is in use). */
     std::vector<GridRun*> completions_;
 
     std::unique_ptr<RunState> run_;

@@ -117,6 +117,10 @@ Gpu::snapshot() const
         throw SnapshotError(
             "snapshot requires an active run paused between ticks "
             "(advance with run_until() first)");
+    if (faults_enabled())
+        throw SnapshotError(
+            "snapshot cannot capture fault-injection state (rule budgets, "
+            "hung and held launches); run faulty scenarios without forks");
 
     Snapshot snap;
     snap.config_hash = hash_config(cfg_);

@@ -180,7 +180,9 @@ class Gpu
      * result and advanced produces bit-identical statistics to this
      * Gpu advanced directly.  Queued host callbacks are not
      * serializable — snapshot() throws SnapshotError if any stream
-     * holds one.
+     * holds one — and neither is fault-injection state (rule budgets,
+     * hung and held launches), so it also throws when a fault plan is
+     * enabled.
      */
     Snapshot snapshot() const;
 

@@ -21,9 +21,9 @@
  * addresses, same concurrent residency.  Across contexts — e.g. a
  * serving wavefront whose buffers were freshly allocated at different
  * addresses — the fingerprint still matches and the timing is
- * approximate-but-bounded; SimOptions::replay_mode = kVerify
- * re-simulates 1-in-N hits in detail and fails the run when the
- * divergence exceeds the configured bound.
+ * approximate; `tools/gate.py replay` bounds that error end to end
+ * against full-detail runs.  A profile holds the launch's natural
+ * duration: fault holds (slowdowns) apply on top at replay.
  *
  * Profiles serialize through the snapshot_io codec ("TCRP" archives,
  * one file per scenario under --replay-cache DIR) so cross-process

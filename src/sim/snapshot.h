@@ -37,7 +37,7 @@
 namespace tcsim {
 
 /** Bump on any change to the archive layout. */
-inline constexpr uint32_t kSnapshotVersion = 3;
+inline constexpr uint32_t kSnapshotVersion = 4;
 
 struct Snapshot
 {

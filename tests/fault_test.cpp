@@ -6,7 +6,11 @@
  * disabled/degraded SMs slow a multi-CTA kernel, slowdowns stretch
  * completion, hangs block the run until kill_stream() or a watchdog
  * contains them, and every faulty run stays bit-identical across
- * sim_threads.
+ * sim_threads.  The launch lifecycle: a profile records the natural
+ * duration under a slowdown, snapshots refuse an enabled fault plan,
+ * the hang dump names each launch's state, and every launch kind
+ * (detailed, recording, replayed) under every fault (none, slowdown,
+ * hang + kill_stream) agrees across lockstep/idle-skip x sim_threads.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +20,8 @@
 #include "kernels/kernel_registry.h"
 #include "sim/fault/fault_plan.h"
 #include "sim/gpu.h"
+#include "sim/replay/replay_cache.h"
+#include "sim/snapshot.h"
 
 using namespace tcsim;
 
@@ -37,9 +43,11 @@ serial_sim()
     return sim;
 }
 
-/** A multi-CTA GEMM so SM-level faults have something to slow down. */
+/** A multi-CTA GEMM so SM-level faults have something to slow down.
+ *  A timing-only one (@p functional false) is replay-cacheable. */
 KernelDesc
-gemm_kernel(Gpu& gpu, const GpuConfig& cfg, int mn = 128)
+gemm_kernel(Gpu& gpu, const GpuConfig& cfg, int mn = 128,
+            bool functional = true)
 {
     const KernelFamilyInfo* info = find_kernel_family("wmma_naive");
     EXPECT_NE(info, nullptr);
@@ -47,6 +55,7 @@ gemm_kernel(Gpu& gpu, const GpuConfig& cfg, int mn = 128)
     kc.arch = cfg.arch;
     kc.m = kc.n = mn;
     kc.k = 64;
+    kc.functional = functional;
     GemmBuffers buf;
     buf.a = gpu.mem().alloc(static_cast<uint64_t>(kc.m) * kc.k * 2);
     buf.b = gpu.mem().alloc(static_cast<uint64_t>(kc.k) * kc.n * 2);
@@ -55,6 +64,15 @@ gemm_kernel(Gpu& gpu, const GpuConfig& cfg, int mn = 128)
     KernelDesc desc =
         build_gemm_kernel(info->family, kc, buf, /*warps_per_cta=*/8);
     return desc;
+}
+
+/** A timing-only (cacheable) 128x128x64 GEMM named @p name. */
+KernelDesc
+named_gemm(Gpu& gpu, const char* name)
+{
+    KernelDesc k = gemm_kernel(gpu, gpu.config(), 128, false);
+    k.name = name;
+    return k;
 }
 
 /** Cycles to run one GEMM to completion under @p faults. */
@@ -287,6 +305,18 @@ TEST(FaultEngine, HangBlocksRunUntilAndKillStreamRecovers)
     EXPECT_TRUE(gpu.run_active());
     EXPECT_EQ(gpu.fault_counters().hangs, 1u);
     EXPECT_TRUE(gpu.stream_quiescent(victim));
+    // Run to completion cannot hand control back: it reports the hang
+    // with the launch's state and leaves the run paused.
+    try {
+        gpu.run();
+        FAIL() << "expected SimHangError";
+    } catch (const SimHangError& e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "resident: \"doomed\" stream=1 grid=0 hung\n"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_TRUE(gpu.run_active());
 
     // Host containment: kill the stream, then healthy work completes.
     gpu.kill_stream(victim);
@@ -313,22 +343,75 @@ TEST(FaultEngine, HangIsTerminalForRunToCompletion)
     }
 }
 
-TEST(FaultEngine, MaxCyclesWatchdogCarriesDiagnosticDump)
+namespace {
+
+/** The SimHangError dump of a single-GEMM run on @p sim, stopped by
+ *  its max_cycles watchdog (empty when the run finished). */
+std::string
+watchdog_dump(const SimOptions& sim, const FaultSpec& faults = {})
 {
-    GpuConfig cfg = small_gpu();
-    SimOptions sim = serial_sim();
-    sim.max_cycles = 200;  // Far below one GEMM's duration.
-    Gpu gpu(cfg, sim);
-    gpu.default_stream().enqueue(gemm_kernel(gpu, cfg, 64));
+    Gpu gpu(small_gpu(), sim, faults);
+    gpu.default_stream().enqueue(named_gemm(gpu, "g"));
     try {
         gpu.run();
-        FAIL() << "expected SimHangError";
     } catch (const SimHangError& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("max_cycles"), std::string::npos);
-        EXPECT_NE(what.find("resident kernel"), std::string::npos);
-        EXPECT_NE(what.find("busy SM"), std::string::npos);
+        return e.what();
     }
+    return "";
+}
+
+}  // namespace
+
+TEST(FaultEngine, MaxCyclesWatchdogCarriesDiagnosticDump)
+{
+    // The dump names each resident launch's lifecycle state.
+    SimOptions sim = serial_sim();
+    sim.max_cycles = 200;  // Far below one GEMM's duration.
+    std::string what = watchdog_dump(sim);
+    EXPECT_NE(what.find("max_cycles"), std::string::npos);
+    EXPECT_NE(what.find("resident kernel"), std::string::npos);
+    EXPECT_NE(what.find("busy SM"), std::string::npos);
+    EXPECT_NE(what.find("resident: \"g\" stream=0 grid=0 dispatching 0/"),
+              std::string::npos)
+        << what;
+
+    // A 3x slowdown's release lands at 3x the natural duration.
+    // Lockstep stops the run between the natural finish and the
+    // release: held.  Idle-skip jumps straight from the finish to the
+    // release, past max_cycles, where the launch is drained and due to
+    // retire on the next tick.
+    SimOptions healthy = serial_sim();
+    ReplayCache cache;
+    healthy.replay_mode = SimOptions::ReplayMode::kRecord;
+    healthy.replay_cache = &cache;
+    Gpu recorder(small_gpu(), healthy);
+    recorder.default_stream().enqueue(named_gemm(recorder, "g"));
+    const uint64_t natural = recorder.run().cycles;
+    FaultSpec slow;
+    slow.enabled = true;
+    slow.slowdowns.push_back({"g", 3.0, 0});
+    sim.max_cycles = 2 * natural;
+    what = watchdog_dump(sim, slow);
+    EXPECT_NE(what.find("cycle " + std::to_string(3 * natural - 1) + ":"),
+              std::string::npos);
+    EXPECT_NE(what.find("grid=0 drained\n"), std::string::npos) << what;
+    sim.idle_skip = false;
+    what = watchdog_dump(sim, slow);
+    EXPECT_NE(what.find("grid=0 held until " +
+                        std::to_string(3 * natural - 1) + "\n"),
+              std::string::npos)
+        << what;
+
+    // Replaying: a warm hit completes by the clock at its recorded
+    // duration.
+    sim.max_cycles = 200;
+    sim.replay_mode = SimOptions::ReplayMode::kReplay;
+    sim.replay_cache = &cache;
+    what = watchdog_dump(sim);
+    EXPECT_NE(what.find("grid=0 replaying until " +
+                        std::to_string(natural - 1) + "\n"),
+              std::string::npos)
+        << what;
 }
 
 TEST(FaultEngine, FaultsAreTimingOnly)
@@ -348,4 +431,187 @@ TEST(FaultEngine, FaultsAreTimingOnly)
     EngineStats stats = gpu.run();
     EXPECT_EQ(stats.kernels.size(), 1u);
     EXPECT_GT(gpu.fault_counters().ecc_retries, 0u);
+}
+
+// --- Launch lifecycle --------------------------------------------------
+
+namespace {
+
+/** One timing-only 128x128x64 naive GEMM on 4 SMs, run with @p
+ *  replay_mode against @p cache under a 3x slowdown plan. */
+EngineStats
+slowed_gemm(SimOptions::ReplayMode replay_mode, ReplayCache* cache)
+{
+    SimOptions sim = serial_sim();
+    sim.replay_mode = replay_mode;
+    sim.replay_cache = cache;
+    FaultSpec slow;
+    slow.enabled = true;
+    slow.slowdowns.push_back({"wmma", 3.0, 0});
+    Gpu gpu(small_gpu(), sim, slow);
+    gpu.default_stream().enqueue(named_gemm(gpu, "wmma"));
+    return gpu.run();
+}
+
+}  // namespace
+
+TEST(FaultEngine, SlowdownRecordsTheNaturalDuration)
+{
+    // A profile holds the launch's natural (drain) duration; the hold
+    // applies on top of it, so a warm replay under the same plan must
+    // not stretch the launch a second time.
+    ReplayCache cache;
+    const EngineStats recorded =
+        slowed_gemm(SimOptions::ReplayMode::kRecord, &cache);
+    const EngineStats replayed =
+        slowed_gemm(SimOptions::ReplayMode::kReplay, &cache);
+    EXPECT_EQ(replayed.replay_hits, 1u);
+    EXPECT_EQ(replayed.cycles, recorded.cycles);
+    EXPECT_EQ(replayed.cycles, slowed_gemm(SimOptions::ReplayMode::kOff,
+                                           nullptr).cycles);
+}
+
+TEST(FaultEngine, SnapshotRefusesAnEnabledFaultPlan)
+{
+    // Rule budgets and hung/held launches are not serialized: a
+    // snapshot would silently drop them, so it is refused instead.
+    GpuConfig cfg = small_gpu();
+    FaultSpec slow;
+    slow.enabled = true;
+    slow.slowdowns.push_back({"wmma", 3.0, 0});
+    Gpu gpu(cfg, serial_sim(), slow);
+    gpu.default_stream().enqueue(named_gemm(gpu, "wmma"));
+    gpu.run_until(1000);
+    ASSERT_TRUE(gpu.run_active());
+    EXPECT_THROW(gpu.snapshot(), SnapshotError);
+}
+
+namespace {
+
+enum class LaunchKind { kDetailed, kRecording, kReplayed };
+enum class LaunchFault { kNone, kSlowdown, kHangKill };
+
+/** What a lifecycle run must reproduce under every engine setting. */
+struct LifecycleOutcome
+{
+    uint64_t cycles = 0;
+    std::vector<std::string> retired;  ///< Kernel names, retire order.
+    uint64_t clock = 0;                ///< ticks + skipped_cycles.
+    uint64_t replay_hits = 0;
+};
+
+/** Enqueue g0 then g1 on a new stream; returns the stream. */
+Stream&
+enqueue_lifecycle_program(Gpu& gpu)
+{
+    Stream& s = gpu.create_stream();
+    s.enqueue(named_gemm(gpu, "g0"));
+    s.enqueue(named_gemm(gpu, "g1"));
+    return s;
+}
+
+/** Stream 1 runs g0 then g1.  Under kHangKill g0 hangs: the bounded
+ *  advance pauses, the host kills stream 1 (dropping g1) and runs g2
+ *  on the default stream instead. */
+LifecycleOutcome
+lifecycle_run(LaunchKind kind, LaunchFault fault, bool idle_skip,
+              int threads, const ReplayCache& warm)
+{
+    SimOptions sim = serial_sim();
+    sim.idle_skip = idle_skip;
+    sim.sim_threads = threads;
+    // Recording starts from an empty cache, replay from the warm one.
+    ReplayCache cache =
+        kind == LaunchKind::kReplayed ? warm : ReplayCache{};
+    if (kind != LaunchKind::kDetailed) {
+        sim.replay_mode = kind == LaunchKind::kRecording
+                              ? SimOptions::ReplayMode::kRecord
+                              : SimOptions::ReplayMode::kReplay;
+        sim.replay_cache = &cache;
+    }
+    FaultSpec faults;
+    faults.enabled = fault != LaunchFault::kNone;
+    if (fault == LaunchFault::kSlowdown)
+        faults.slowdowns.push_back({"g", 3.0, 0});
+    if (fault == LaunchFault::kHangKill)
+        faults.hangs.push_back({"g0", 1.0, 1});
+
+    Gpu gpu(small_gpu(), sim, faults);
+    Stream& s = enqueue_lifecycle_program(gpu);
+    if (fault == LaunchFault::kHangKill) {
+        gpu.run_until(50'000'000);
+        EXPECT_TRUE(gpu.run_active());
+        EXPECT_TRUE(gpu.stream_quiescent(s));
+        gpu.kill_stream(s);
+        gpu.default_stream().enqueue(named_gemm(gpu, "g2"));
+    }
+    const EngineStats st = gpu.run();
+    LifecycleOutcome out;
+    out.cycles = st.cycles;
+    for (const LaunchStats& k : st.kernels)
+        out.retired.push_back(k.kernel);
+    out.clock = st.ticks + st.skipped_cycles;
+    out.replay_hits = st.replay_hits;
+    return out;
+}
+
+}  // namespace
+
+TEST(Lifecycle, EveryKindAndFaultAgreesAcrossEngineSettings)
+{
+    // Warm the replay cache from a fault-free detailed run of the same
+    // stream program, so every replayed launch is a hit.
+    ReplayCache warm;
+    SimOptions rec = serial_sim();
+    rec.replay_mode = SimOptions::ReplayMode::kRecord;
+    rec.replay_cache = &warm;
+    Gpu recorder(small_gpu(), rec);
+    enqueue_lifecycle_program(recorder);
+    recorder.run();
+    ASSERT_GT(warm.size(), 0u);
+
+    const char* kinds[] = {"detailed", "recording", "replayed"};
+    const char* faults[] = {"none", "slowdown", "hang+kill_stream"};
+    LifecycleOutcome reference[3][3];
+    for (int k = 0; k < 3; ++k) {
+        for (int f = 0; f < 3; ++f) {
+            const auto kind = static_cast<LaunchKind>(k);
+            const auto fault = static_cast<LaunchFault>(f);
+            SCOPED_TRACE(std::string(kinds[k]) + " x " + faults[f]);
+            // Lockstep serial is the reference the others must match.
+            std::vector<LifecycleOutcome> runs;
+            for (bool skip : {false, true})
+                for (int threads : {1, 4})
+                    runs.push_back(
+                        lifecycle_run(kind, fault, skip, threads, warm));
+            const LifecycleOutcome& ref = runs[0];
+            for (size_t i = 1; i < runs.size(); ++i) {
+                SCOPED_TRACE("engine setting " + std::to_string(i) +
+                             " (lockstep t4, idle-skip t1, idle-skip t4)");
+                EXPECT_EQ(runs[i].cycles, ref.cycles);
+                EXPECT_EQ(runs[i].retired, ref.retired);
+                EXPECT_EQ(runs[i].clock, ref.clock);
+                EXPECT_EQ(runs[i].replay_hits, ref.replay_hits);
+            }
+            if (kind == LaunchKind::kReplayed) {
+                EXPECT_GT(ref.replay_hits, 0u);
+            }
+            const std::vector<std::string> order =
+                fault == LaunchFault::kHangKill
+                    ? std::vector<std::string>{"g2"}
+                    : std::vector<std::string>{"g0", "g1"};
+            EXPECT_EQ(ref.retired, order);
+            reference[k][f] = ref;
+        }
+    }
+    // Holds apply on top of the natural duration, whichever way the
+    // launch reached it; the record mode never perturbs timing.
+    for (int f : {0, 1}) {
+        SCOPED_TRACE(faults[f]);
+        const LifecycleOutcome& detailed = reference[0][f];
+        EXPECT_EQ(reference[1][f].cycles, detailed.cycles);
+        EXPECT_EQ(reference[2][f].cycles, detailed.cycles);
+        EXPECT_EQ(reference[2][f].retired, detailed.retired);
+    }
+    EXPECT_GT(reference[0][1].cycles, reference[0][0].cycles * 2);
 }

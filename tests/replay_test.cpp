@@ -3,7 +3,7 @@
  * Kernel-timing replay cache (sim/replay/): profile and archive codec
  * round-trips, fingerprint isolation across GpuConfigs, the
  * bit-identity contract for same-context hits, determinism under the
- * parallel tick, verify mode, and snapshot/restore with a replayed
+ * parallel tick, and snapshot/restore with a replayed
  * kernel in flight (including restoring onto a replay-off engine).
  */
 
@@ -330,28 +330,6 @@ TEST(Replay, DeterministicAcrossSimThreads)
             EXPECT_EQ(b.kernels[i].finish_cycle,
                       a.kernels[i].finish_cycle);
     }
-}
-
-TEST(Replay, VerifyModePassesOnExactProfilesAndCounts)
-{
-    GpuConfig cfg = small_titan_v(4);
-    ReplayCache cache;
-    SimOptions record;
-    record.replay_mode = SimOptions::ReplayMode::kRecord;
-    record.replay_cache = &cache;
-    EngineStats base = run_serial_gemms(cfg, record, 3, 64);
-
-    SimOptions verify;
-    verify.replay_mode = SimOptions::ReplayMode::kVerify;
-    verify.replay_cache = &cache;
-    verify.replay_verify_every = 2;
-    EngineStats v = run_serial_gemms(cfg, verify, 3, 64);
-    // Same context, exact profiles: verification re-simulates without
-    // failing, and verified launches still count as hits.
-    EXPECT_EQ(v.replay_hits, 3u);
-    EXPECT_GT(v.replay_verified, 0u);
-    EXPECT_EQ(v.cycles, base.cycles);
-    EXPECT_EQ(v.instructions, base.instructions);
 }
 
 TEST(Replay, SnapshotMidReplayedKernelRoundTrips)

@@ -227,6 +227,22 @@ TEST(Scenario, RejectsUnknownKeys)
       "kernels": [{"kernel": "hmma_stress"}]
     })"),
                  ScenarioError);
+    // Keys and the value of the removed replay verify mode.
+    EXPECT_THROW(parse_scenario_text(R"({
+      "name": "s", "sim": {"replay_verify_every": 8},
+      "kernels": [{"kernel": "hmma_stress"}]
+    })"),
+                 ScenarioError);
+    EXPECT_THROW(parse_scenario_text(R"({
+      "name": "s", "sim": {"replay_verify_bound": 0.05},
+      "kernels": [{"kernel": "hmma_stress"}]
+    })"),
+                 ScenarioError);
+    EXPECT_THROW(parse_scenario_text(R"({
+      "name": "s", "sim": {"replay": "verify"},
+      "kernels": [{"kernel": "hmma_stress"}]
+    })"),
+                 ScenarioError);
 }
 
 TEST(Scenario, RejectsInvalidValues)

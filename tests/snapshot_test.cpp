@@ -483,6 +483,9 @@ TEST(Snapshot, MismatchesRejectedBeforeMutation)
     Snapshot bad_version = snap;
     bad_version.version = kSnapshotVersion + 1;
     EXPECT_THROW(target.restore(bad_version), SnapshotError);
+    // v3 archives still carry the removed replay verify-mode fields.
+    bad_version.version = 3;
+    EXPECT_THROW(target.restore(bad_version), SnapshotError);
 
     // GpuConfig.
     Gpu other_config(mem_bound_config(8), opts);

@@ -19,12 +19,13 @@ promises:
   fork      The sweep scenario forked from its prefix snapshot against
             ``--cold-sweep`` (every point from cycle 0): identical
             reports, the snapshot contract end to end.
-  replay    Each serving scenario of the replay pair at full detail,
-            then ``--replay=record`` into a private cache, then
-            ``--replay`` warmed from it.  Serve latency percentiles
-            must be within 5% of full detail, instruction counters
-            exact, and the replay legs must hit the cache at least
-            once.
+  replay    Each replay scenario (the serving pair and a non-serving
+            event DAG) at full detail, then ``--replay=record`` into
+            a private cache, then ``--replay`` warmed from it.  Total
+            cycles and serve latency percentiles must be within 5% of
+            full detail, instruction counters exact, and the replay
+            legs must hit the cache at least once.  This is the
+            replay cache's accuracy check.
   dag       ``--dump-dag`` over the suite: every JSON artifact is
             well-formed and every DOT twin is a Graphviz digraph.
 
@@ -53,7 +54,8 @@ WALL_KEYS = {"wall_ms", "ticks_per_sec", "sim_threads", "jobs", "sim"}
 
 REPLAY_BOUND = 0.05
 REPLAY_SCENARIOS = ("serving_mlp6_continuous.json",
-                    "serving_mlp6_static.json")
+                    "serving_mlp6_static.json",
+                    "event_dag_mlp3.json")
 FORK_SCENARIO = "sweep_fig14a_sizes.json"
 
 
@@ -226,24 +228,26 @@ def gate_replay(simrunner, workdir):
                                         r["total"][counter]))
             fl = f.get("serve", {}).get("latency_cycles", {})
             rl = r.get("serve", {}).get("latency_cycles", {})
-            for key in sorted(fl):
-                fv, rv = fl[key], rl.get(key)
+            bounded = [("total.cycles", f["total"]["cycles"],
+                        r["total"]["cycles"])]
+            bounded += [("latency " + k, fl[k], rl.get(k)) for k in sorted(fl)]
+            for what, fv, rv in bounded:
                 if rv is None:
-                    problems.append("{}: latency {} missing from replay"
-                                    .format(name, key))
+                    problems.append("{}: {} missing from replay".format(
+                        name, what))
                     continue
                 err = abs(rv - fv) / fv if fv else 0.0
-                print("{} {}: latency {} full={} replay={} rel_err={:.4f}"
-                      .format("ok  " if err <= REPLAY_BOUND else "FAIL",
-                              name, key, fv, rv, err))
+                print("{} {}: {} full={} replay={} rel_err={:.4f}".format(
+                    "ok  " if err <= REPLAY_BOUND else "FAIL", name, what,
+                    fv, rv, err))
                 if err > REPLAY_BOUND:
-                    problems.append("{}: latency {} rel_err {:.4f} > {}"
-                                    .format(name, key, err, REPLAY_BOUND))
+                    problems.append("{}: {} rel_err {:.4f} > {}".format(
+                        name, what, err, REPLAY_BOUND))
     if hits == 0:
         problems.append("the replay legs never hit the cache: the gate "
                         "would be vacuous")
-    return problems, ("replay within {:.0%} of full-detail serve "
-                      "percentiles, counters exact, {} hit(s)".format(
+    return problems, ("replay within {:.0%} of full-detail cycles and "
+                      "serve percentiles, counters exact, {} hit(s)".format(
                           REPLAY_BOUND, hits))
 
 

@@ -19,7 +19,7 @@
  *     --filter SUBS   only run scenarios whose name contains any of
  *                     the comma-separated patterns (repeatable)
  *     --replay[=MODE] override sim.replay on every scenario
- *                     (MODE: replay (default), record, verify, off)
+ *                     (MODE: replay (default), record, off)
  *     --replay-cache DIR  merge every .rpc file under DIR into a
  *                     batch-shared profile cache before running,
  *                     write DIR/profiles.rpc after; needs --replay
@@ -114,7 +114,7 @@ usage(std::FILE* to)
         "  --filter SUBS   only run scenarios whose name contains any\n"
         "                  of the comma-separated patterns (repeatable)\n"
         "  --replay[=MODE] override sim.replay on every scenario.\n"
-        "                  MODE: replay (default), record, verify, off\n"
+        "                  MODE: replay (default), record, off\n"
         "  --replay-cache DIR  share one profile cache across the\n"
         "                  batch: merge DIR/*.rpc before running and\n"
         "                  write DIR/profiles.rpc after (needs --replay)\n"
@@ -206,12 +206,10 @@ parse_args(int argc, char** argv, Options* opts)
                 opts->replay_mode = 1;
             else if (mode == "replay")
                 opts->replay_mode = 2;
-            else if (mode == "verify")
-                opts->replay_mode = 3;
             else {
                 std::fprintf(stderr,
                              "simrunner: bad --replay mode \"%s\" "
-                             "(want off|record|replay|verify)\n",
+                             "(want off|record|replay)\n",
                              mode.c_str());
                 return false;
             }
@@ -559,17 +557,15 @@ main(int argc, char** argv)
                 report.wall_ms, report.jobs);
 
     if (opts.replay_mode >= 0) {
-        uint64_t hits = 0, misses = 0, verified = 0;
+        uint64_t hits = 0, misses = 0;
         for (const driver::ScenarioResult& r : report.results) {
             hits += r.totals.replay_hits;
             misses += r.totals.replay_misses;
-            verified += r.totals.replay_verified;
         }
-        std::printf("replay: %llu hit(s), %llu miss(es), %llu verified, "
-                    "%zu profile(s) cached\n",
+        std::printf("replay: %llu hit(s), %llu miss(es), %zu profile(s) "
+                    "cached\n",
                     static_cast<unsigned long long>(hits),
                     static_cast<unsigned long long>(misses),
-                    static_cast<unsigned long long>(verified),
                     replay_cache.size());
         if (!opts.replay_cache_dir.empty()) {
             namespace fs = std::filesystem;
