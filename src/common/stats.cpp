@@ -142,29 +142,4 @@ rel_stddev_pct(const std::vector<double>& ref,
 
 }  // namespace stats
 
-Counter&
-StatRegistry::counter(const std::string& name)
-{
-    auto it = counters_.find(name);
-    if (it == counters_.end())
-        it = counters_.emplace(name, Counter(name)).first;
-    return it->second;
-}
-
-Histogram&
-StatRegistry::histogram(const std::string& name)
-{
-    auto it = histograms_.find(name);
-    if (it == histograms_.end())
-        it = histograms_.emplace(name, Histogram(name)).first;
-    return it->second;
-}
-
-void
-StatRegistry::reset()
-{
-    counters_.clear();
-    histograms_.clear();
-}
-
 }  // namespace tcsim

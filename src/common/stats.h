@@ -1,7 +1,7 @@
 #pragma once
 /**
  * @file
- * Simulation statistics: counters, histograms, and the summary math
+ * Simulation statistics: histograms and the summary math
  * the evaluation harness needs (mean/median/percentiles, Pearson
  * correlation, normalized deviation).
  */
@@ -12,23 +12,6 @@
 #include <vector>
 
 namespace tcsim {
-
-/** A named monotonically increasing counter. */
-class Counter
-{
-  public:
-    Counter() = default;
-    explicit Counter(std::string name) : name_(std::move(name)) {}
-
-    void inc(uint64_t delta = 1) { value_ += delta; }
-    uint64_t value() const { return value_; }
-    const std::string& name() const { return name_; }
-    void reset() { value_ = 0; }
-
-  private:
-    std::string name_;
-    uint64_t value_ = 0;
-};
 
 /**
  * A sample accumulator retaining all observations.
@@ -65,6 +48,14 @@ class Histogram
     const std::string& name() const { return name_; }
     void reset() { samples_.clear(); }
 
+    /** Snapshot walk (sim/snapshot_io.h): the samples in recorded
+     *  order.  The name is not archived. */
+    template <class Ar, class Self>
+    static void transfer(Ar& ar, Self& self)
+    {
+        ar.seq(self.samples_, [&](auto& v) { ar.io(v); });
+    }
+
   private:
     std::string name_;
     std::vector<double> samples_;
@@ -91,28 +82,5 @@ double mean(const std::vector<double>& v);
 double median(std::vector<double> v);
 
 }  // namespace stats
-
-/**
- * A registry grouping counters/histograms for one simulation run so
- * reports can enumerate them in a stable order.
- */
-class StatRegistry
-{
-  public:
-    Counter& counter(const std::string& name);
-    Histogram& histogram(const std::string& name);
-
-    const std::map<std::string, Counter>& counters() const { return counters_; }
-    const std::map<std::string, Histogram>& histograms() const
-    {
-        return histograms_;
-    }
-
-    void reset();
-
-  private:
-    std::map<std::string, Counter> counters_;
-    std::map<std::string, Histogram> histograms_;
-};
 
 }  // namespace tcsim

@@ -1029,7 +1029,7 @@ parse_scenario(const JsonValue& doc, const std::string& file)
     if (const JsonValue* sim = doc.find("sim")) {
         check_keys(*sim,
                    {"scheduler", "max_cycles", "sim_threads", "idle_skip",
-                    "min_sms", "replay"},
+                    "replay"},
                    "sim", file);
         sc.sim.scheduler =
             parse_scheduler(get_string(*sim, "scheduler", "gto"), file);
@@ -1048,12 +1048,6 @@ parse_scenario(const JsonValue& doc, const std::string& file)
         }
         if (const JsonValue* v = sim->find("idle_skip"))
             sc.sim.idle_skip = v->as_bool();
-        if (const JsonValue* v = sim->find("min_sms")) {
-            int64_t s = v->as_int();
-            if (s < 0)
-                fail(file, "sim.min_sms must be >= 0");
-            sc.sim.min_sms = static_cast<int>(s);
-        }
         if (const JsonValue* v = sim->find("replay")) {
             const std::string mode = v->as_string();
             if (mode == "off")

@@ -20,7 +20,6 @@
  *                                    // (0 = hardware concurrency);
  *                                    // results are thread-invariant
  *             "idle_skip": true,     // false = lockstep main loop
- *             "min_sms": 0,          // floor on the SM-array size
  *             "replay": "off" | "record" | "replay"},
  *                                    // kernel-timing replay cache (see
  *                                    // SimOptions::replay_mode)

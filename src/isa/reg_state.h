@@ -103,18 +103,15 @@ class WarpRegState
         write(lane, reg, v);
     }
 
-    /** Snapshot support: the raw register-file image. */
-    void save_state(SnapshotWriter& w) const
+    /** Snapshot walk (sim/snapshot_io.h): the raw register-file
+     *  image.  Loading fills a file already sized from the kernel. */
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, WarpRegState> self)
     {
-        w.i32(num_regs_);
-        w.bytes(bits_.data(), bits_.size() * sizeof(uint32_t));
-    }
-
-    void load_state(SnapshotReader& r)
-    {
-        num_regs_ = r.i32();
-        bits_.assign(static_cast<size_t>(num_regs_) * kWarpSize, 0);
-        r.bytes(bits_.data(), bits_.size() * sizeof(uint32_t));
+        int num_regs = self.num_regs_;
+        ar.io(num_regs);
+        ar.check(num_regs == self.num_regs_, "register file size mismatch");
+        ar.bytes(self.bits_.data(), self.bits_.size() * sizeof(uint32_t));
     }
 
   private:

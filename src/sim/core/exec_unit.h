@@ -41,10 +41,13 @@ class ExecUnit
      *  loop: the time a unit-busy stall resolves). */
     uint64_t next_free() const { return next_free_; }
 
-    /** Snapshot support: next_free_ is the only runtime state (the
+    /** Snapshot walk: next_free_ is the only runtime state (the
      *  II/latency come from construction). */
-    void save_state(SnapshotWriter& w) const { w.u64(next_free_); }
-    void load_state(SnapshotReader& r) { next_free_ = r.u64(); }
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, ExecUnit> self)
+    {
+        ar.io(self.next_free_);
+    }
 
   private:
     int ii_ = 1;

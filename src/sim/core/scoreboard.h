@@ -58,23 +58,18 @@ class Scoreboard
      *  or below kMaxRegs. */
     static bool operands_in_range(const Instruction& inst);
 
-    /** Serialize/restore the pending sets (snapshot support): four
-     *  words per warp, bit b of word i standing for register 64i+b. */
-    void save_state(SnapshotWriter& w) const
+    /** Snapshot walk over the pending sets: four words per warp
+     *  slot, bit b of word i standing for register 64i+b. */
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, Scoreboard> self)
     {
-        w.u64(pending_.size());
-        for (const Words& p : pending_)
-            for (uint64_t v : p)
-                w.u64(v);
+        ar.seq(self.pending_, [&](auto& p) {
+            for (auto& v : p)
+                ar.io(v);
+        });
     }
 
-    void load_state(SnapshotReader& r)
-    {
-        pending_.assign(r.u64(), {});
-        for (Words& p : pending_)
-            for (uint64_t& v : p)
-                v = r.u64();
-    }
+    size_t warp_count() const { return pending_.size(); }
 
   private:
     using Words = std::array<uint64_t, kMaxRegs / 64>;

@@ -565,209 +565,136 @@ SM::functional_global_access(Warp& w, const Instruction& inst, int iter)
     }
 }
 
-/** Index of @p g in the resident-grid table. */
-static uint32_t
-sm_grid_index(const std::vector<GridRun*>& grids, const GridRun* g)
-{
-    for (size_t i = 0; i < grids.size(); ++i)
-        if (grids[i] == g)
-            return static_cast<uint32_t>(i);
-    throw SnapshotError("SM references a grid not in the resident table");
-}
-
+template <class Ar>
 void
-SM::save_state(SnapshotWriter& w, const std::vector<GridRun*>& grids) const
+SM::transfer(Ar& ar, ArchiveRef<Ar, SM> self,
+             const std::vector<GridRun*>& grids)
 {
-    if (!staged_mem_.empty() || !staged_cta_done_.empty())
-        throw SnapshotError(
-            "SM has staged work; snapshots only between ticks");
-    TCSIM_CHECK(!pending_wb_);  // Tick-transient, never serialized.
-    w.tag(kTagSm);
-    w.u64(now_);
-    w.b(progress_);
+    if constexpr (!Ar::kLoading) {
+        if (!self.staged_mem_.empty() || !self.staged_cta_done_.empty())
+            throw SnapshotError(
+                "SM has staged work; snapshots only between ticks");
+        TCSIM_CHECK(!self.pending_wb_);  // Tick-transient, never archived.
+    }
+    ar.tag(kTagSm);
+    ar.io(self.now_);
+    ar.io(self.progress_);
 
-    // CTA slot table first: SubCore::load_state regenerates warp
+    // CTA slot table first: the sub-core walk regenerates warp
     // programs from each slot's cta_id.
-    w.u64(cta_slots_.size());
-    for (const CtaSlot& cta : cta_slots_) {
-        w.b(cta.valid);
-        if (!cta.valid)
+    uint64_t slots = self.cta_slots_.size();
+    ar.io(slots);
+    ar.check(slots == self.cta_slots_.size(), "CTA slot count mismatch");
+    for (auto& cta : self.cta_slots_) {
+        ar.io(cta.valid);
+        if (!cta.valid) {
+            if constexpr (Ar::kLoading)
+                cta = CtaSlot{};
             continue;
-        w.u32(sm_grid_index(grids, cta.grid));
-        w.i32(cta.cta_id);
-        w.i32(cta.live_warps);
-        w.i32(cta.barrier_arrived);
-        w.b(cta.shared != nullptr);
-        if (cta.shared) {
-            uint32_t bytes = cta.shared->size();
-            w.u32(bytes);
-            std::vector<uint8_t> buf(bytes);
-            cta.shared->read(0, buf.data(), buf.size());
-            w.bytes(buf.data(), buf.size());
         }
+        transfer_grid(ar, cta.grid, grids);
+        ar.check(cta.grid != nullptr, "CTA without a grid");
+        ar.io(cta.cta_id);
+        ar.check(cta.cta_id >= 0 && cta.cta_id < cta.grid->kernel->grid_ctas,
+                 "CTA id out of range");
+        ar.io(cta.live_warps);
+        ar.io(cta.barrier_arrived);
+        bool has_shared = cta.shared != nullptr;
+        ar.io(has_shared);
+        if (!has_shared) {
+            if constexpr (Ar::kLoading)
+                cta.shared.reset();
+            continue;
+        }
+        uint32_t bytes = cta.shared ? cta.shared->size() : 0;
+        ar.io(bytes);
+        ar.check(bytes > 0 && bytes == cta.grid->kernel->shared_mem_bytes,
+                 "CTA shared-memory size mismatch");
+        std::vector<uint8_t> buf(bytes);
+        if constexpr (Ar::kLoading)
+            cta.shared = std::make_unique<SharedMemoryStorage>(bytes);
+        else
+            cta.shared->read(0, buf.data(), buf.size());
+        ar.bytes(buf.data(), buf.size());
+        if constexpr (Ar::kLoading)
+            cta.shared->write(0, buf.data(), buf.size());
     }
     // Barrier-release fan-out lists, verbatim (entries of freed slots
     // are stale but unobservable; they clear on the slot's next
     // launch — keeping them preserves bit-identity of future state).
-    for (const auto& vec : cta_warps_) {
-        w.u64(vec.size());
-        for (auto [sc, slot] : vec) {
-            w.i32(sc);
-            w.i32(slot);
-        }
+    // Warp slots are checked once the sub-cores are loaded.
+    for (auto& vec : self.cta_warps_) {
+        ar.seq(vec, [&](auto& entry) {
+            ar.index(entry.first, self.subcores_.size(),
+                     "barrier sub-core index out of range");
+            ar.io(entry.second);
+        });
     }
 
-    w.i32(used_ctas_);
-    w.i32(used_warps_);
-    w.u64(used_smem_);
-    w.u64(used_regs_);
+    ar.io(self.used_ctas_);
+    ar.io(self.used_warps_);
+    ar.io(self.used_smem_);
+    ar.io(self.used_regs_);
 
     // Sub-cores before the MIO queues: queue entries hold Instruction
     // pointers into warp programs the sub-cores own.
-    w.u64(subcores_.size());
-    for (const auto& sc : subcores_)
-        sc->save_state(w, grids);
+    uint64_t subcores = self.subcores_.size();
+    ar.io(subcores);
+    ar.check(subcores == self.subcores_.size(), "sub-core count mismatch");
+    for (auto& sc : self.subcores_)
+        SubCore::transfer(ar, *sc, grids);
+    for (const auto& vec : self.cta_warps_)
+        for (auto [sc, slot] : vec)
+            ar.check(slot >= 0 &&
+                         static_cast<size_t>(slot) <
+                             self.subcores_[static_cast<size_t>(sc)]
+                                 ->warp_count(),
+                     "barrier warp slot out of range");
 
-    auto save_queue = [&](const std::deque<MioEntry>& q) {
-        w.u64(q.size());
-        for (const MioEntry& e : q) {
-            w.i32(e.subcore);
-            w.i32(e.warp_slot);
-            const Warp& owner =
-                subcores_[static_cast<size_t>(e.subcore)]->warp(e.warp_slot);
-            size_t idx = static_cast<size_t>(e.inst - owner.prog.data());
-            if (idx >= owner.prog.size())
-                throw SnapshotError(
-                    "MIO instruction outside its warp program");
-            w.u64(idx);
-            w.i32(e.iter);
-            w.u64(e.sectors.size());
-            for (uint64_t s : e.sectors)
-                w.u64(s);
-            w.u64(e.next_sector);
-            w.u64(e.done);
-            w.u64(e.port_next);
-            w.b(e.primed);
-        }
+    auto transfer_queue = [&](auto& q) {
+        ar.seq(q, [&](auto& e) {
+            ar.index(e.subcore, self.subcores_.size(),
+                     "MIO sub-core index out of range");
+            SubCore& sc = *self.subcores_[static_cast<size_t>(e.subcore)];
+            ar.index(e.warp_slot, sc.warp_count(),
+                     "MIO warp slot out of range");
+            transfer_inst(ar, e.inst, sc.warp(e.warp_slot).prog,
+                          "MIO instruction index out of range");
+            ar.io(e.iter);
+            ar.seq(e.sectors, [&](auto& sector) { ar.io(sector); });
+            ar.io(e.next_sector);
+            ar.check(e.next_sector <= e.sectors.size(),
+                     "MIO sector cursor out of range");
+            ar.io(e.done);
+            ar.io(e.port_next);
+            ar.io(e.primed);
+        });
     };
-    save_queue(mio_shared_);
-    save_queue(mio_global_);
-    w.u64(mio_shared_free_);
-    w.u64(mio_global_free_);
-    w.u64(mio_global_retry_);
-    w.u8(static_cast<uint8_t>(mio_block_reason_));
-    w.i32(ctas_completed_);
-    w.b(busy_cache_);
-    w.u64(next_event_cache_);
+    transfer_queue(self.mio_shared_);
+    transfer_queue(self.mio_global_);
+    ar.io(self.mio_shared_free_);
+    ar.io(self.mio_global_free_);
+    ar.io(self.mio_global_retry_);
+    ar.enumerated(self.mio_block_reason_, StallReason::kDramQueue);
+    ar.io(self.ctas_completed_);
+    ar.io(self.busy_cache_);
+    ar.io(self.next_event_cache_);
+
+    if constexpr (Ar::kLoading) {
+        self.staged_mem_.clear();
+        self.staged_cta_done_.clear();
+        self.pending_wb_.reset();
+        // Derived memo over the shared executor cache: repopulated on
+        // the next functional HMMA (restores may target a different
+        // Gpu whose ExecutorCache is distinct).
+        self.executor_memo_ = nullptr;
+        self.executor_memo_key_ = 0;
+    }
 }
 
-void
-SM::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
-{
-    r.tag(kTagSm);
-    now_ = r.u64();
-    progress_ = r.b();
-
-    if (r.u64() != cta_slots_.size())
-        throw SnapshotError("CTA slot count mismatch");
-    for (CtaSlot& cta : cta_slots_) {
-        cta.valid = r.b();
-        if (!cta.valid) {
-            cta.grid = nullptr;
-            cta.cta_id = -1;
-            cta.live_warps = 0;
-            cta.barrier_arrived = 0;
-            cta.shared.reset();
-            continue;
-        }
-        uint32_t gi = r.u32();
-        if (gi >= grids.size())
-            throw SnapshotError("CTA grid index out of range");
-        cta.grid = grids[gi];
-        cta.cta_id = r.i32();
-        cta.live_warps = r.i32();
-        cta.barrier_arrived = r.i32();
-        if (r.b()) {
-            uint32_t bytes = r.u32();
-            cta.shared = std::make_unique<SharedMemoryStorage>(bytes);
-            std::vector<uint8_t> buf(bytes);
-            r.bytes(buf.data(), buf.size());
-            cta.shared->write(0, buf.data(), buf.size());
-        } else {
-            cta.shared.reset();
-        }
-    }
-    for (auto& vec : cta_warps_) {
-        vec.clear();
-        uint64_t n = r.u64();
-        vec.reserve(n);
-        for (uint64_t i = 0; i < n; ++i) {
-            int sc = r.i32();
-            int slot = r.i32();
-            vec.push_back({sc, slot});
-        }
-    }
-
-    used_ctas_ = r.i32();
-    used_warps_ = r.i32();
-    used_smem_ = r.u64();
-    used_regs_ = r.u64();
-
-    if (r.u64() != subcores_.size())
-        throw SnapshotError("sub-core count mismatch");
-    for (auto& sc : subcores_)
-        sc->load_state(r, grids);
-
-    auto load_queue = [&](std::deque<MioEntry>& q) {
-        q.clear();
-        uint64_t n = r.u64();
-        for (uint64_t i = 0; i < n; ++i) {
-            MioEntry e{};
-            e.subcore = r.i32();
-            e.warp_slot = r.i32();
-            uint64_t idx = r.u64();
-            e.iter = r.i32();
-            uint64_t ns = r.u64();
-            e.sectors.reserve(ns);
-            for (uint64_t s = 0; s < ns; ++s)
-                e.sectors.push_back(r.u64());
-            e.next_sector = r.u64();
-            e.done = r.u64();
-            e.port_next = r.u64();
-            e.primed = r.b();
-            if (e.subcore < 0 ||
-                e.subcore >= static_cast<int>(subcores_.size()))
-                throw SnapshotError("MIO sub-core index out of range");
-            SubCore& sc = *subcores_[static_cast<size_t>(e.subcore)];
-            if (e.warp_slot < 0 ||
-                static_cast<size_t>(e.warp_slot) >= sc.warp_count())
-                throw SnapshotError("MIO warp slot out of range");
-            Warp& owner = sc.warp(e.warp_slot);
-            if (idx >= owner.prog.size())
-                throw SnapshotError(
-                    "MIO instruction index out of range");
-            e.inst = &owner.prog[idx];
-            q.push_back(std::move(e));
-        }
-    };
-    load_queue(mio_shared_);
-    load_queue(mio_global_);
-    mio_shared_free_ = r.u64();
-    mio_global_free_ = r.u64();
-    mio_global_retry_ = r.u64();
-    mio_block_reason_ = static_cast<StallReason>(r.u8());
-    ctas_completed_ = r.i32();
-    busy_cache_ = r.b();
-    next_event_cache_ = r.u64();
-
-    staged_mem_.clear();
-    staged_cta_done_.clear();
-    pending_wb_.reset();
-    // Derived memo over the shared executor cache: repopulated on the
-    // next functional HMMA (restores may target a different Gpu whose
-    // ExecutorCache is distinct).
-    executor_memo_ = nullptr;
-    executor_memo_key_ = 0;
-}
+template void SM::transfer(SnapshotWriter&, const SM&,
+                           const std::vector<GridRun*>&);
+template void SM::transfer(SnapshotReader&, SM&,
+                           const std::vector<GridRun*>&);
 
 }  // namespace tcsim

@@ -221,22 +221,26 @@ class SM
             forget_grid(g);
     }
 
-    /** cta_id of CTA slot @p slot (SubCore::load_state regenerates
-     *  warp programs from it). */
+    /** cta_id of CTA slot @p slot, or -1 when the slot is out of
+     *  range or empty (a restoring sub-core regenerates warp programs
+     *  from it). */
     int cta_id_of_slot(int slot) const
     {
+        if (slot < 0 || static_cast<size_t>(slot) >= cta_slots_.size() ||
+            !cta_slots_[static_cast<size_t>(slot)].valid)
+            return -1;
         return cta_slots_[static_cast<size_t>(slot)].cta_id;
     }
 
     /**
-     * Serialize/restore the full SM state (snapshot support).  Must
-     * only run between engine ticks: the staged functional-memory and
-     * CTA-completion buffers are required to be empty.  @p grids maps
-     * resident GridRun pointers to stable indices.
+     * Snapshot walk over the full SM state.  Must only run between
+     * engine ticks: saving requires the staged functional-memory and
+     * CTA-completion buffers to be empty.  @p grids maps resident
+     * GridRun pointers to stable indices.
      */
-    void save_state(SnapshotWriter& w,
-                    const std::vector<GridRun*>& grids) const;
-    void load_state(SnapshotReader& r, const std::vector<GridRun*>& grids);
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, SM> self,
+                         const std::vector<GridRun*>& grids);
 
   private:
     /** Shared-memory MIO pipe (SM-local; Phase B). */

@@ -4,6 +4,7 @@
 
 #include "common/logging.h"
 #include "sim/core/sm.h"
+#include "sim/stats_codec.h"
 
 namespace tcsim {
 
@@ -352,186 +353,127 @@ SubCore::register_writeback(uint64_t done, int warp_slot,
     min_done_ = std::min(min_done_, done);
 }
 
-namespace {
 
-/** Stable index of @p g in the engine's resident-grid table.  Finished
- *  warps keep their (possibly dangling) grid pointer; callers encode
- *  those as UINT32_MAX instead of resolving them here. */
-uint32_t
-grid_index_of(const std::vector<GridRun*>& grids, const GridRun* g)
-{
-    for (size_t i = 0; i < grids.size(); ++i)
-        if (grids[i] == g)
-            return static_cast<uint32_t>(i);
-    throw SnapshotError("grid pointer not in resident table");
-}
-
-}  // namespace
-
+template <class Ar>
 void
-SubCore::save_state(SnapshotWriter& w,
-                    const std::vector<GridRun*>& grids) const
+SubCore::transfer(Ar& ar, ArchiveRef<Ar, SubCore> self,
+                  const std::vector<GridRun*>& grids)
 {
-    w.tag(kTagSubCore);
-    w.u64(warps_.size());
-    for (const auto& wp : warps_) {
-        const Warp& wr = *wp;
-        w.tag(kTagWarp);
-        w.u8(static_cast<uint8_t>(wr.state));
-        w.b(wr.exited);
-        w.i32(wr.inflight);
-        w.u64(wr.pc);
-        w.i32(wr.iter);
-        w.i32(wr.loop_trips);
-        w.u64(wr.loop_begin);
-        w.i32(wr.cta_slot);
-        w.i32(wr.warp_in_cta);
+    ar.tag(kTagSubCore);
+    ar.seq(self.warps_, [&](auto& wp) {
+        if constexpr (Ar::kLoading)
+            wp = std::make_unique<Warp>();
+        auto& wr = *wp;
+        ar.tag(kTagWarp);
+        ar.enumerated(wr.state, WarpState::kFinished);
+        ar.io(wr.exited);
+        ar.io(wr.inflight);
+        ar.io(wr.pc);
+        ar.io(wr.iter);
+        ar.io(wr.loop_trips);
+        ar.io(wr.loop_begin);
+        ar.io(wr.cta_slot);
+        ar.io(wr.warp_in_cta);
         // A finished warp's grid pointer may dangle (its grid can have
         // retired); it is never dereferenced again, so drop it.
-        bool finished = wr.state == WarpState::kFinished;
-        w.u32(finished ? UINT32_MAX : grid_index_of(grids, wr.grid));
-        w.u64(wr.prog.size());
-        w.b(wr.regs != nullptr);
-        if (wr.regs)
-            wr.regs->save_state(w);
+        GridRun* grid =
+            wr.state == WarpState::kFinished ? nullptr : wr.grid;
+        transfer_grid(ar, grid, grids);
+        uint64_t prog_size = wr.prog.size();
+        ar.io(prog_size);
+        if constexpr (Ar::kLoading) {
+            if (grid != nullptr) {
+                const KernelDesc& k = *grid->kernel;
+                const int cta_id = self.sm_->cta_id_of_slot(wr.cta_slot);
+                ar.check(cta_id >= 0, "warp CTA slot out of range");
+                ar.check(wr.warp_in_cta >= 0 &&
+                             wr.warp_in_cta < k.warps_per_cta,
+                         "warp index in CTA out of range");
+                wr.grid = grid;
+                wr.prog = k.trace(cta_id, wr.warp_in_cta);
+                ar.check(wr.prog.size() == prog_size,
+                         "regenerated warp program length mismatch "
+                         "(trace generator not deterministic?)");
+                ar.check(wr.pc <= prog_size && wr.loop_begin <= prog_size,
+                         "warp pc out of range");
+            } else {
+                ar.check(prog_size == 0,
+                         "finished warp with non-empty program");
+            }
+        }
+        bool has_regs = wr.regs != nullptr;
+        ar.io(has_regs);
+        if (has_regs) {
+            if constexpr (Ar::kLoading) {
+                ar.check(wr.grid != nullptr,
+                         "register file on a warp without a grid");
+                wr.regs = std::make_unique<WarpRegState>(
+                    wr.grid->kernel->regs_per_thread);
+            }
+            WarpRegState::transfer(ar, *wr.regs);
+        }
         // Sorted key order: lookups are by key so map order is not
         // observable, but the archive bytes must be deterministic.
         std::vector<std::pair<uint64_t, uint64_t>> macros(
             wr.macro_start.begin(), wr.macro_start.end());
         std::sort(macros.begin(), macros.end());
-        w.u64(macros.size());
-        for (const auto& [key, start] : macros) {
-            w.u64(key);
-            w.u64(start);
-        }
-    }
+        ar.seq(macros, [&](auto& m) {
+            ar.io(m.first);
+            ar.io(m.second);
+        });
+        if constexpr (Ar::kLoading)
+            wr.macro_start.insert(macros.begin(), macros.end());
+    });
+    const size_t nwarps = self.warps_.size();
     // active_ and free_slots_ in exact runtime order: GTO/LRR visit
     // active_ in order and slots recycle LIFO, so order is behaviour.
-    w.u64(active_.size());
-    for (int s : active_)
-        w.i32(s);
-    w.u64(free_slots_.size());
-    for (int s : free_slots_)
-        w.i32(s);
-    scoreboard_.save_state(w);
-    fp32_.save_state(w);
-    int_.save_state(w);
-    fp64_.save_state(w);
-    mufu_.save_state(w);
-    tc_.save_state(w);
+    ar.seq(self.active_, [&](auto& slot) {
+        ar.index(slot, nwarps, "active warp slot out of range");
+    });
+    ar.seq(self.free_slots_, [&](auto& slot) {
+        ar.index(slot, nwarps, "free warp slot out of range");
+    });
+    Scoreboard::transfer(ar, self.scoreboard_);
+    ar.check(self.scoreboard_.warp_count() == nwarps,
+             "scoreboard warp count mismatch");
+    ExecUnit::transfer(ar, self.fp32_);
+    ExecUnit::transfer(ar, self.int_);
+    ExecUnit::transfer(ar, self.fp64_);
+    ExecUnit::transfer(ar, self.mufu_);
+    TensorCoreUnit::transfer(ar, self.tc_);
+    ar.check(self.tc_.active_warp() >= -1 &&
+                 self.tc_.active_warp() < static_cast<int64_t>(nwarps),
+             "tensor-core warp slot out of range");
     // In-flight writebacks in exact vector order (do_writebacks
     // swap-erases, so the order encodes completion history).
-    w.u64(inflight_.size());
-    for (const InFlight& f : inflight_) {
-        w.u64(f.done);
-        w.i32(f.warp_slot);
-        const Warp& owner = *warps_[static_cast<size_t>(f.warp_slot)];
-        w.u64(static_cast<uint64_t>(f.inst - owner.prog.data()));
-        w.i32(f.iter);
+    ar.seq(self.inflight_, [&](auto& f) {
+        ar.io(f.done);
+        ar.index(f.warp_slot, nwarps, "in-flight warp slot out of range");
+        transfer_inst(ar, f.inst,
+                      self.warps_[static_cast<size_t>(f.warp_slot)]->prog,
+                      "in-flight instruction index out of range");
+        ar.io(f.iter);
+    });
+    if constexpr (Ar::kLoading) {
+        self.min_done_ = UINT64_MAX;
+        for (const InFlight& f : self.inflight_)
+            self.min_done_ = std::min(self.min_done_, f.done);
     }
-    w.i32(last_issued_);
-    w.i32(lrr_pos_);
-    w.u64(issued_);
-    for (uint64_t c : stalls_.counts)
-        w.u64(c);
-    w.u8(static_cast<uint8_t>(last_block_));
-    w.u32(last_block_grid_ ? grid_index_of(grids, last_block_grid_)
-                           : UINT32_MAX);
+    ar.io(self.last_issued_);
+    ar.check(self.last_issued_ >= -1 &&
+                 self.last_issued_ < static_cast<int64_t>(nwarps),
+             "last-issued warp slot out of range");
+    ar.io(self.lrr_pos_);
+    ar.check(self.lrr_pos_ >= 0, "negative round-robin position");
+    ar.io(self.issued_);
+    tcsim::transfer(ar, self.stalls_);
+    ar.enumerated(self.last_block_, StallReason::kDramQueue);
+    transfer_grid(ar, self.last_block_grid_, grids);
 }
 
-void
-SubCore::load_state(SnapshotReader& r, const std::vector<GridRun*>& grids)
-{
-    r.tag(kTagSubCore);
-    size_t nwarps = r.u64();
-    warps_.clear();
-    warps_.reserve(nwarps);
-    for (size_t i = 0; i < nwarps; ++i) {
-        r.tag(kTagWarp);
-        auto wp = std::make_unique<Warp>();
-        Warp& wr = *wp;
-        wr.state = static_cast<WarpState>(r.u8());
-        wr.exited = r.b();
-        wr.inflight = r.i32();
-        wr.pc = r.u64();
-        wr.iter = r.i32();
-        wr.loop_trips = r.i32();
-        wr.loop_begin = r.u64();
-        wr.cta_slot = r.i32();
-        wr.warp_in_cta = r.i32();
-        uint32_t gidx = r.u32();
-        uint64_t prog_size = r.u64();
-        if (gidx != UINT32_MAX) {
-            if (gidx >= grids.size())
-                throw SnapshotError("warp grid index out of range");
-            wr.grid = grids[gidx];
-            wr.prog = wr.grid->kernel->trace(
-                sm_->cta_id_of_slot(wr.cta_slot), wr.warp_in_cta);
-            if (wr.prog.size() != prog_size)
-                throw SnapshotError(
-                    "regenerated warp program length mismatch (trace "
-                    "generator not deterministic?)");
-        } else if (prog_size != 0) {
-            throw SnapshotError("finished warp with non-empty program");
-        }
-        if (r.b()) {
-            wr.regs = std::make_unique<WarpRegState>();
-            wr.regs->load_state(r);
-        }
-        uint64_t nmacros = r.u64();
-        for (uint64_t m = 0; m < nmacros; ++m) {
-            uint64_t key = r.u64();
-            wr.macro_start.emplace(key, r.u64());
-        }
-        warps_.push_back(std::move(wp));
-    }
-    active_.clear();
-    size_t nactive = r.u64();
-    for (size_t i = 0; i < nactive; ++i)
-        active_.push_back(r.i32());
-    free_slots_.clear();
-    size_t nfree = r.u64();
-    for (size_t i = 0; i < nfree; ++i)
-        free_slots_.push_back(r.i32());
-    scoreboard_.load_state(r);
-    fp32_.load_state(r);
-    int_.load_state(r);
-    fp64_.load_state(r);
-    mufu_.load_state(r);
-    tc_.load_state(r);
-    inflight_.clear();
-    min_done_ = UINT64_MAX;
-    size_t ninflight = r.u64();
-    for (size_t i = 0; i < ninflight; ++i) {
-        InFlight f;
-        f.done = r.u64();
-        f.warp_slot = r.i32();
-        uint64_t idx = r.u64();
-        if (f.warp_slot < 0 ||
-            static_cast<size_t>(f.warp_slot) >= warps_.size())
-            throw SnapshotError("in-flight warp slot out of range");
-        const Warp& owner = *warps_[static_cast<size_t>(f.warp_slot)];
-        if (idx >= owner.prog.size())
-            throw SnapshotError("in-flight instruction index out of range");
-        f.inst = &owner.prog[idx];
-        f.iter = r.i32();
-        inflight_.push_back(f);
-        min_done_ = std::min(min_done_, f.done);
-    }
-    last_issued_ = r.i32();
-    lrr_pos_ = r.i32();
-    issued_ = r.u64();
-    for (uint64_t& c : stalls_.counts)
-        c = r.u64();
-    last_block_ = static_cast<StallReason>(r.u8());
-    uint32_t bgidx = r.u32();
-    if (bgidx == UINT32_MAX) {
-        last_block_grid_ = nullptr;
-    } else {
-        if (bgidx >= grids.size())
-            throw SnapshotError("stall grid index out of range");
-        last_block_grid_ = grids[bgidx];
-    }
-}
+template void SubCore::transfer(SnapshotWriter&, const SubCore&,
+                                const std::vector<GridRun*>&);
+template void SubCore::transfer(SnapshotReader&, SubCore&,
+                                const std::vector<GridRun*>&);
 
 }  // namespace tcsim

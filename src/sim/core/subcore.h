@@ -7,6 +7,7 @@
  * hazard tracking and in-order per-warp issue.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -21,6 +22,43 @@
 namespace tcsim {
 
 class SM;
+
+/** Snapshot walk over a grid pointer, archived as its index in the
+ *  resident table @p grids (UINT32_MAX for null). */
+template <class Ar, class P>
+void
+transfer_grid(Ar& ar, P& grid, const std::vector<GridRun*>& grids)
+{
+    uint32_t index = UINT32_MAX;
+    if constexpr (!Ar::kLoading) {
+        if (grid != nullptr) {
+            auto it = std::find(grids.begin(), grids.end(), grid);
+            if (it == grids.end())
+                throw SnapshotError("grid pointer not in resident table");
+            index = static_cast<uint32_t>(it - grids.begin());
+        }
+    }
+    ar.io(index);
+    if constexpr (Ar::kLoading) {
+        ar.check(index == UINT32_MAX || index < grids.size(),
+                 "grid index out of range");
+        grid = index == UINT32_MAX ? nullptr : grids[index];
+    }
+}
+
+/** Snapshot walk over an instruction pointer into @p prog, archived
+ *  as its index. */
+template <class Ar, class P>
+void
+transfer_inst(Ar& ar, P& inst, const WarpProgram& prog, const char* what)
+{
+    uint64_t index = 0;
+    if constexpr (!Ar::kLoading)
+        index = static_cast<uint64_t>(inst - prog.data());
+    ar.index(index, prog.size(), what);
+    if constexpr (Ar::kLoading)
+        inst = &prog[index];
+}
 
 /** One of the four processing blocks of an SM. */
 class SubCore
@@ -86,18 +124,18 @@ class SubCore
     }
 
     /**
-     * Serialize/restore the full sub-core state (snapshot support).
-     * @p grids maps resident GridRun pointers to stable indices.  Warp
-     * programs are not serialized: load regenerates them from each
-     * grid's deterministic kernel trace and validates the length, so
-     * the in-flight Instruction pointers (encoded as program indices)
-     * re-anchor into identical programs.  Must only run between engine
-     * ticks.  The containing SM must have loaded its CTA slot table
-     * first (trace regeneration needs each warp's cta_id).
+     * Snapshot walk over the full sub-core state.  @p grids maps
+     * resident GridRun pointers to stable indices.  Warp programs are
+     * not archived: loading regenerates them from each grid's
+     * deterministic kernel trace and validates the length, so the
+     * in-flight Instruction pointers (archived as program indices)
+     * re-anchor into identical programs.  Must only run between
+     * engine ticks.  The containing SM must have loaded its CTA slot
+     * table first (trace regeneration needs each warp's cta_id).
      */
-    void save_state(SnapshotWriter& w,
-                    const std::vector<GridRun*>& grids) const;
-    void load_state(SnapshotReader& r, const std::vector<GridRun*>& grids);
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, SubCore> self,
+                         const std::vector<GridRun*>& grids);
 
   private:
     /** Try to issue the next instruction of one warp. */
@@ -139,7 +177,7 @@ class SubCore
     /** Earliest `done` in inflight_ (UINT64_MAX when empty): lets
      *  do_writebacks skip the scan before anything is due and
      *  next_event answer without walking the list.  Derived; rebuilt
-     *  by load_state. */
+     *  when a snapshot loads. */
     uint64_t min_done_ = UINT64_MAX;
     int last_issued_ = -1;
     int lrr_pos_ = 0;

@@ -1075,288 +1075,198 @@ ExecutionEngine::synchronize(const std::vector<Stream*>& streams,
         /*pause_on_block=*/false);
 }
 
-// ---- Snapshot serialization -------------------------------------
+// ---- Snapshot walk ----------------------------------------------
 
-// Scalar stat codecs (stalls / mem / macro-latency) live in
-// sim/stats_codec.h, shared with the replay-profile archive so both
-// formats walk the same field order.
-
-namespace {
-
-void
-save_launch_stats(SnapshotWriter& w, const LaunchStats& k)
+template <class Ar>
+static void
+transfer(Ar& ar, ArchiveRef<Ar, LaunchStats> k)
 {
-    w.str(k.kernel);
-    w.i32(k.stream);
-    w.u64(k.start_cycle);
-    w.u64(k.finish_cycle);
-    w.u64(k.cycles);
-    w.u64(k.instructions);
-    w.u64(k.hmma_instructions);
-    w.f64(k.ipc);
-    save_mem_stats(w, k.mem);
-    save_macro_latency(w, k.macro_latency);
-    save_stalls(w, k.stalls);
+    ar.io(k.kernel);
+    ar.io(k.stream);
+    ar.io(k.start_cycle);
+    ar.io(k.finish_cycle);
+    ar.io(k.cycles);
+    ar.io(k.instructions);
+    ar.io(k.hmma_instructions);
+    ar.io(k.ipc);
+    transfer(ar, k.mem);
+    transfer(ar, k.macro_latency);
+    transfer(ar, k.stalls);
 }
 
-LaunchStats
-load_launch_stats(SnapshotReader& r)
+/** A grid's per-SM stats shards; the count sizes the shards before
+ *  their bytes are read, so it may not exceed @p max_shards. */
+template <class Ar>
+static void
+transfer(Ar& ar, ArchiveRef<Ar, RunStatsCollector> c, size_t max_shards)
 {
-    LaunchStats k;
-    k.kernel = r.str();
-    k.stream = r.i32();
-    k.start_cycle = r.u64();
-    k.finish_cycle = r.u64();
-    k.cycles = r.u64();
-    k.instructions = r.u64();
-    k.hmma_instructions = r.u64();
-    k.ipc = r.f64();
-    load_mem_stats(r, &k.mem);
-    load_macro_latency(r, &k.macro_latency);
-    load_stalls(r, &k.stalls);
-    return k;
-}
-
-void
-save_run_stats(SnapshotWriter& w, const RunStatsCollector& c)
-{
-    w.u64(c.shard_count());
-    for (size_t i = 0; i < c.shard_count(); ++i) {
-        const RunStatsShard& s = c.shard_at(i);
-        w.u64(s.instructions);
-        w.u64(s.hmma_instructions);
-        save_macro_latency(w, s.macro_latency);
-        save_stalls(w, s.stalls);
+    auto& shards = c.shards();
+    uint64_t n = shards.size();
+    ar.io(n);
+    ar.check(n <= max_shards, "stats shard count exceeds the SM count");
+    if constexpr (Ar::kLoading)
+        shards.resize(n);
+    for (auto& s : shards) {
+        ar.io(s.instructions);
+        ar.io(s.hmma_instructions);
+        transfer(ar, s.macro_latency);
+        transfer(ar, s.stalls);
     }
 }
 
+template <class Ar>
 void
-load_run_stats(SnapshotReader& r, RunStatsCollector* c)
+ExecutionEngine::transfer(Ar& ar, ArchiveRef<Ar, ExecutionEngine> self,
+                          KernelTable<Ar> kernels,
+                          const std::vector<Stream*>& streams)
 {
-    uint64_t n = r.u64();
-    c->ensure_shards(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        RunStatsShard& s = c->shard(static_cast<int>(i));
-        s.instructions = r.u64();
-        s.hmma_instructions = r.u64();
-        load_macro_latency(r, &s.macro_latency);
-        load_stalls(r, &s.stalls);
-    }
-}
-
-}  // namespace
-
-void
-ExecutionEngine::save_state(SnapshotWriter& w,
-                            std::vector<KernelDesc>* kernels) const
-{
-    if (!run_)
+    // Loading builds the run aside and installs it only once every
+    // byte has loaded: a rejected archive leaves no half-built run.
+    std::unique_ptr<RunState> loaded;
+    if constexpr (Ar::kLoading) {
+        self.last_stats_ = EngineStats{};
+        if (self.run_)
+            self.release_streams();
+        self.run_.reset();
+        self.cycled_.clear();
+        self.retiring_.clear();
+        self.completions_.clear();
+        self.callbacks_fired_ = false;
+        loaded = std::make_unique<RunState>();
+        loaded->wall_start = std::chrono::steady_clock::now();
+    } else if (!self.run_) {
         throw SnapshotError("no active run to snapshot");
-    const RunState& rs = *run_;
-    w.tag(kTagEngine);
-    w.u64(rs.now);
-    w.i32(rs.next_grid_id);
-    w.u64(rs.stats.ticks);
-    w.u64(rs.stats.skipped_cycles);
-    w.u64(rs.stats.kernels.size());
-    for (const LaunchStats& k : rs.stats.kernels)
-        save_launch_stats(w, k);
+    }
+    RunState& rs = Ar::kLoading ? *loaded : *self.run_;
+    const size_t max_sms = static_cast<size_t>(self.cfg_.num_sms);
+    ar.tag(kTagEngine);
+    ar.io(rs.now);
+    ar.io(rs.next_grid_id);
+    ar.io(rs.stats.ticks);
+    ar.io(rs.stats.skipped_cycles);
+    ar.seq(rs.stats.kernels, [&](auto& k) { tcsim::transfer(ar, k); });
 
     // Resident launches in dispatch-priority order.  Descriptors go
     // to the side table — their trace std::function is copyable but
     // not byte-serializable — and everything below references grids
     // by index into this residency order.
-    w.u64(rs.resident.size());
-    std::vector<GridRun*> grids;
-    grids.reserve(rs.resident.size());
-    for (const auto& l : rs.resident) {
-        w.u32(static_cast<uint32_t>(kernels->size()));
-        kernels->push_back(l->desc);
-        const GridRun& g = l->grid;
-        w.i32(g.grid_id);
-        w.i32(g.stream_id);
-        w.i32(g.next_cta);
-        w.i32(g.ctas_done);
-        w.u64(g.start_cycle);
-        w.u64(g.finish_cycle);
-        save_run_stats(w, g.stats);
-        save_mem_stats(w, l->mem_base);
+    ar.seq(rs.resident, [&](auto& l) {
+        if constexpr (Ar::kLoading)
+            l = std::make_unique<Launch>();
+        transfer_kernel(ar, l->desc, kernels);
+        GridRun& g = l->grid;
+        if constexpr (Ar::kLoading)
+            g.kernel = &l->desc;
+        ar.io(g.grid_id);
+        ar.io(g.stream_id);
+        ar.io(g.next_cta);
+        ar.io(g.ctas_done);
+        ar.check(g.next_cta >= 0 && g.next_cta <= l->desc.grid_ctas &&
+                     g.ctas_done >= 0 && g.ctas_done <= l->desc.grid_ctas,
+                 "CTA progress out of range");
+        ar.io(g.start_cycle);
+        ar.io(g.finish_cycle);
+        tcsim::transfer(ar, g.stats, max_sms);
+        tcsim::transfer(ar, l->mem_base);
         // Replay state: a launch may be mid-replay (profile + done
         // cycle) or recording (key + occupancy scratch).
-        w.b(l->replay_profile != nullptr);
-        if (l->replay_profile) {
-            save_profile(w, *l->replay_profile);
-            w.u64(l->replay_done);
+        bool replaying = l->replay_profile != nullptr;
+        ar.io(replaying);
+        if (replaying) {
+            if constexpr (Ar::kLoading)
+                l->replay_profile = std::make_unique<KernelTimingProfile>();
+            tcsim::transfer(ar, *l->replay_profile);
+            ar.io(l->replay_done);
         }
-        w.str(l->record_key);
-        w.u64(l->record_seq);
-        w.u64(l->occupancy.size());
-        for (const OccupancyPhase& ph : l->occupancy) {
-            w.u64(ph.offset);
-            w.u32(ph.ctas_left);
-        }
+        ar.io(l->record_key);
+        ar.io(l->record_seq);
+        tcsim::transfer(ar, l->occupancy);
+    });
+    std::vector<GridRun*> grids;
+    grids.reserve(rs.resident.size());
+    for (const auto& l : rs.resident)
         grids.push_back(&l->grid);
-    }
 
-    w.u64(rs.stream_runs.size());
-    for (const StreamRun& sr : rs.stream_runs) {
-        w.i32(sr.stream->id());
+    ar.seq(rs.stream_runs, [&](auto& sr) {
+        int id = sr.stream ? sr.stream->id() : 0;
+        ar.io(id);
         int live = -1;
         for (size_t i = 0; i < rs.resident.size(); ++i)
             if (rs.resident[i].get() == sr.live)
                 live = static_cast<int>(i);
-        w.i32(live);
+        ar.io(live);
+        if constexpr (Ar::kLoading) {
+            const size_t index = static_cast<size_t>(&sr - rs.stream_runs.data());
+            for (Stream* s : streams)
+                if (s->id() == id)
+                    sr.stream = s;
+            ar.check(sr.stream != nullptr,
+                     "archive references an unknown stream id");
+            ar.check(rs.stream_index.emplace(sr.stream, index).second,
+                     "stream archived twice");
+            ar.check(live >= -1 &&
+                         live < static_cast<int64_t>(rs.resident.size()),
+                     "live launch index out of range");
+            if (live >= 0) {
+                sr.live = rs.resident[static_cast<size_t>(live)].get();
+                sr.live->stream_run = index;
+            }
+            // Every stream starts queued; the first promotion parks
+            // the idle ones.
+            rs.queued.push_back(index);
+        }
+    });
+
+    uint64_t nsms = rs.sms.size();
+    ar.io(nsms);
+    ar.check(nsms <= max_sms, "SM count exceeds the config");
+    if constexpr (Ar::kLoading) {
+        for (uint64_t i = 0; i < nsms; ++i) {
+            auto sm = std::make_unique<SM>(static_cast<int>(i), self.cfg_,
+                                           self.mem_, self.executors_,
+                                           self.opts_.scheduler);
+            if (self.fault_plan_)
+                if (int cap =
+                        self.fault_plan_->warp_slot_cap(static_cast<int>(i)))
+                    sm->set_warp_cap(cap);
+            rs.sms.push_back(std::move(sm));
+        }
+        // Every resident grid carries one stats shard per SM.
+        for (const auto& l : rs.resident)
+            l->grid.stats.ensure_shards(rs.sms.size());
     }
-
-    w.u64(rs.sms.size());
     for (const auto& sm : rs.sms)
-        sm->save_state(w, grids);
+        SM::transfer(ar, *sm, grids);
 
-    w.u64(rs.busy_sms.size());
-    for (int id : rs.busy_sms)
-        w.i32(id);
+    ar.seq(rs.busy_sms, [&](auto& id) {
+        ar.index(id, rs.sms.size(), "busy SM index out of range");
+    });
 
     // Replay run-state: warmth trackers, the hit/miss tallies, and the
     // accumulated deltas of already retired replayed launches
     // (fill_totals folds them into totals).
-    w.tag(kTagReplay);
-    w.str(rs.last_finished_key);
-    w.b(rs.any_finished);
-    w.u64(rs.replay_seq.size());
-    for (const auto& [key, seq] : rs.replay_seq) {
-        w.str(key);
-        w.u64(seq);
-    }
-    w.u64(rs.stats.replay_hits);
-    w.u64(rs.stats.replay_misses);
-    save_mem_stats(w, rs.replay_mem);
-    save_stalls(w, rs.replay_stalls);
+    ar.tag(kTagReplay);
+    ar.io(rs.last_finished_key);
+    ar.io(rs.any_finished);
+    ar.map(rs.replay_seq, [&](auto& key, auto& seq) {
+        ar.io(key);
+        ar.io(seq);
+    });
+    ar.io(rs.stats.replay_hits);
+    ar.io(rs.stats.replay_misses);
+    tcsim::transfer(ar, rs.replay_mem);
+    tcsim::transfer(ar, rs.replay_stalls);
+    if constexpr (Ar::kLoading)
+        self.run_ = std::move(loaded);
 }
 
-void
-ExecutionEngine::load_state(SnapshotReader& r,
-                            const std::vector<KernelDesc>& kernels,
-                            const std::vector<Stream*>& streams)
-{
-    r.tag(kTagEngine);
-    last_stats_ = EngineStats{};
-    if (run_)
-        release_streams();
-    run_ = std::make_unique<RunState>();
-    run_->wall_start = std::chrono::steady_clock::now();
-    RunState& rs = *run_;
-    cycled_.clear();
-    retiring_.clear();
-    completions_.clear();
-    callbacks_fired_ = false;
-
-    rs.now = r.u64();
-    rs.next_grid_id = r.i32();
-    rs.stats.ticks = r.u64();
-    rs.stats.skipped_cycles = r.u64();
-    uint64_t nkernels = r.u64();
-    rs.stats.kernels.reserve(nkernels);
-    for (uint64_t i = 0; i < nkernels; ++i)
-        rs.stats.kernels.push_back(load_launch_stats(r));
-
-    uint64_t nres = r.u64();
-    std::vector<GridRun*> grids;
-    grids.reserve(nres);
-    for (uint64_t i = 0; i < nres; ++i) {
-        uint32_t ki = r.u32();
-        if (ki >= kernels.size())
-            throw SnapshotError("kernel table index out of range");
-        auto l = std::make_unique<Launch>();
-        l->desc = kernels[ki];
-        l->grid.kernel = &l->desc;
-        l->grid.grid_id = r.i32();
-        l->grid.stream_id = r.i32();
-        l->grid.next_cta = r.i32();
-        l->grid.ctas_done = r.i32();
-        l->grid.start_cycle = r.u64();
-        l->grid.finish_cycle = r.u64();
-        load_run_stats(r, &l->grid.stats);
-        load_mem_stats(r, &l->mem_base);
-        if (r.b()) {
-            l->replay_profile = std::make_unique<KernelTimingProfile>(
-                load_profile(r));
-            l->replay_done = r.u64();
-        }
-        l->record_key = r.str();
-        l->record_seq = r.u64();
-        uint64_t nocc = r.u64();
-        l->occupancy.reserve(nocc);
-        for (uint64_t o = 0; o < nocc; ++o) {
-            OccupancyPhase ph;
-            ph.offset = r.u64();
-            ph.ctas_left = r.u32();
-            l->occupancy.push_back(ph);
-        }
-        rs.resident.push_back(std::move(l));
-    }
-    for (const auto& l : rs.resident)
-        grids.push_back(&l->grid);
-
-    uint64_t nsr = r.u64();
-    for (uint64_t i = 0; i < nsr; ++i) {
-        int id = r.i32();
-        int live = r.i32();
-        StreamRun sr;
-        for (Stream* s : streams)
-            if (s->id() == id)
-                sr.stream = s;
-        if (sr.stream == nullptr)
-            throw SnapshotError("archive references unknown stream id " +
-                                std::to_string(id));
-        if (live >= 0) {
-            if (static_cast<uint64_t>(live) >= nres)
-                throw SnapshotError("live launch index out of range");
-            sr.live = rs.resident[static_cast<size_t>(live)].get();
-            sr.live->stream_run = rs.stream_runs.size();
-        }
-        // Every stream starts queued; the first promotion parks the
-        // idle ones.
-        rs.queued.push_back(rs.stream_runs.size());
-        rs.stream_index.emplace(sr.stream, rs.stream_runs.size());
-        rs.stream_runs.push_back(sr);
-    }
-
-    uint64_t nsms = r.u64();
-    for (uint64_t i = 0; i < nsms; ++i) {
-        auto sm = std::make_unique<SM>(static_cast<int>(i), cfg_, mem_,
-                                       executors_, opts_.scheduler);
-        if (fault_plan_)
-            if (int cap = fault_plan_->warp_slot_cap(static_cast<int>(i)))
-                sm->set_warp_cap(cap);
-        rs.sms.push_back(std::move(sm));
-    }
-    // Every resident grid carries one stats shard per SM.
-    for (const auto& l : rs.resident)
-        l->grid.stats.ensure_shards(rs.sms.size());
-    for (auto& sm : rs.sms)
-        sm->load_state(r, grids);
-
-    uint64_t nbusy = r.u64();
-    for (uint64_t i = 0; i < nbusy; ++i) {
-        int id = r.i32();
-        if (id < 0 || static_cast<uint64_t>(id) >= nsms)
-            throw SnapshotError("busy SM index out of range");
-        rs.busy_sms.push_back(id);
-    }
-
-    r.tag(kTagReplay);
-    rs.last_finished_key = r.str();
-    rs.any_finished = r.b();
-    uint64_t nseq = r.u64();
-    for (uint64_t i = 0; i < nseq; ++i) {
-        std::string key = r.str();
-        rs.replay_seq[std::move(key)] = r.u64();
-    }
-    rs.stats.replay_hits = r.u64();
-    rs.stats.replay_misses = r.u64();
-    load_mem_stats(r, &rs.replay_mem);
-    load_stalls(r, &rs.replay_stalls);
-}
+template void ExecutionEngine::transfer(SnapshotWriter&,
+                                        const ExecutionEngine&,
+                                        std::vector<KernelDesc>&,
+                                        const std::vector<Stream*>&);
+template void ExecutionEngine::transfer(SnapshotReader&, ExecutionEngine&,
+                                        const std::vector<KernelDesc>&,
+                                        const std::vector<Stream*>&);
 
 RunProgress
 ExecutionEngine::synchronize(const std::vector<Stream*>& streams,

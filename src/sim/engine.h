@@ -92,6 +92,7 @@
 #include "sim/kernel_desc.h"
 #include "sim/mem/memory_system.h"
 #include "sim/replay/replay_cache.h"
+#include "sim/snapshot.h"
 #include "sim/stream.h"
 #include "sim/worker_pool.h"
 
@@ -342,23 +343,18 @@ class ExecutionEngine
     void advance_idle_to(uint64_t cycle);
 
     /**
-     * Serialize the active run into @p w (snapshot support).  Resident
-     * launches append their KernelDesc to @p kernels and are encoded
-     * by index.  Requires an active run paused between ticks
-     * (run_until()); throws SnapshotError otherwise.
-     */
-    void save_state(SnapshotWriter& w,
-                    std::vector<KernelDesc>* kernels) const;
-
-    /**
-     * Rebuild the run from @p r, discarding any active run.  @p
-     * kernels is the side table save_state filled; @p streams must
+     * Snapshot walk over the active run.  Resident launches are
+     * archived by their index in the kernel side table @p kernels.
+     * Saving requires an active run paused between ticks
+     * (run_until()) and throws SnapshotError otherwise.  Loading
+     * discards any active run and rebuilds it; @p streams must
      * contain a stream for every id the archive references (Gpu
-     * restores streams and events before calling this).
+     * restores streams and events first).
      */
-    void load_state(SnapshotReader& r,
-                    const std::vector<KernelDesc>& kernels,
-                    const std::vector<Stream*>& streams);
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, ExecutionEngine> self,
+                         KernelTable<Ar> kernels,
+                         const std::vector<Stream*>& streams);
 
     /** Install a live stream-set provider (Gpu wires this to its
      *  stream list).  Consulted after host callbacks fire so work

@@ -110,6 +110,107 @@ Gpu::synchronize(const Event& event)
     return engine_.synchronize(stream_list_, event);
 }
 
+template <class Ar>
+void
+Gpu::transfer(Ar& ar, ArchiveRef<Ar, Gpu> self, KernelTable<Ar> kernels)
+{
+    MemorySystem::transfer(ar, *self.mem_);
+
+    // Events first: stream ops and the engine reference them.
+    // Reconcile by id — ids are dense creation indices on both sides.
+    ar.tag(kTagEvents);
+    uint64_t nevents = self.events_.size();
+    ar.count(nevents);
+    for (size_t i = 0; i < nevents; ++i) {
+        int id = static_cast<int>(i);
+        std::string name;
+        if constexpr (!Ar::kLoading) {
+            id = self.events_[i]->id_;
+            name = self.events_[i]->name_;
+        }
+        ar.io(id);
+        ar.check(id == static_cast<int>(i), "event table not in id order");
+        ar.io(name);
+        if constexpr (Ar::kLoading)
+            if (self.events_.size() <= i)
+                self.events_.push_back(
+                    std::make_unique<Event>(id, std::move(name)));
+        Event& ev = *self.events_[i];
+        ar.io(ev.recorded_);
+        ar.io(ev.complete_);
+        ar.io(ev.cycle_);
+    }
+    if constexpr (Ar::kLoading) {
+        // Events this Gpu created beyond the snapshot: reset.
+        for (size_t i = nevents; i < self.events_.size(); ++i) {
+            self.events_[i]->recorded_ = false;
+            self.events_[i]->complete_ = false;
+            self.events_[i]->cycle_ = 0;
+        }
+    }
+
+    // Stream queues, recreated by id on load (ids are dense: default
+    // 0, created 1..).  Launch descriptors go to the kernel side
+    // table; records/waits reference events by id.  Host callbacks
+    // cannot be captured — refuse rather than silently drop them.
+    // Loading refills the queues directly: record()/wait() would
+    // clobber the event state restored above.
+    ar.tag(kTagStreams);
+    bool has_default = self.default_stream_ != nullptr;
+    ar.io(has_default);
+    uint64_t nstreams = self.streams_.size();
+    ar.count(nstreams);
+    if constexpr (Ar::kLoading) {
+        if (has_default)
+            self.default_stream();
+        while (self.streams_.size() < nstreams)
+            self.create_stream();
+        if (self.default_stream_)
+            self.default_stream_->ops_.clear();
+        for (auto& s : self.streams_)
+            s->ops_.clear();
+    }
+    auto transfer_event = [&](auto& ev, const char* what) {
+        int id = ev ? ev->id_ : -1;
+        ar.index(id, self.events_.size(), what);
+        if constexpr (Ar::kLoading)
+            ev = self.events_[static_cast<size_t>(id)].get();
+    };
+    auto transfer_stream = [&](Stream& s) {
+        int id = s.id_;
+        ar.io(id);
+        ar.check(id == s.id_, "stream id table mismatch");
+        ar.seq(s.ops_, [&](auto& op) {
+            if (op.kind == Stream::OpKind::kCallback)
+                throw SnapshotError(
+                    "stream " + std::to_string(s.id_) +
+                    " holds a queued host callback; callbacks are not "
+                    "serializable");
+            ar.enumerated(op.kind, Stream::OpKind::kWaitEvent);
+            switch (op.kind) {
+              case Stream::OpKind::kLaunch:
+                transfer_kernel(ar, op.kernel, kernels);
+                break;
+              case Stream::OpKind::kRecordEvent:
+                transfer_event(op.record, "record event id out of range");
+                break;
+              case Stream::OpKind::kWaitEvent:
+                transfer_event(op.wait, "wait event id out of range");
+                break;
+              case Stream::OpKind::kCallback:
+                break;  // Refused above; out of range when loading.
+            }
+        });
+    };
+    if (has_default)
+        transfer_stream(*self.default_stream_);
+    for (size_t i = 0; i < nstreams; ++i)
+        transfer_stream(*self.streams_[i]);
+
+    ExecutionEngine::transfer(ar, self.engine_, kernels, self.stream_list_);
+    ar.tag(kTagEnd);
+}
+
 Snapshot
 Gpu::snapshot() const
 {
@@ -134,55 +235,7 @@ Gpu::snapshot() const
     snap.gmem_next = next;
 
     SnapshotWriter w;
-    mem_->save_state(w);
-
-    w.tag(kTagEvents);
-    w.u64(events_.size());
-    for (const auto& ev : events_) {
-        w.i32(ev->id_);
-        w.str(ev->name_);
-        w.b(ev->recorded_);
-        w.b(ev->complete_);
-        w.u64(ev->cycle_);
-    }
-
-    // Stream queues.  Launch descriptors go to the kernel side table;
-    // records/waits reference events by id.  Host callbacks cannot be
-    // captured — refuse rather than silently drop them.
-    w.tag(kTagStreams);
-    w.b(default_stream_ != nullptr);
-    w.u64(streams_.size());
-    auto save_stream = [&](const Stream& s) {
-        w.i32(s.id_);
-        w.u64(s.ops_.size());
-        for (const Stream::Op& op : s.ops_) {
-            w.u8(static_cast<uint8_t>(op.kind));
-            switch (op.kind) {
-              case Stream::OpKind::kLaunch:
-                w.u32(static_cast<uint32_t>(snap.kernels.size()));
-                snap.kernels.push_back(op.kernel);
-                break;
-              case Stream::OpKind::kRecordEvent:
-                w.i32(op.record->id_);
-                break;
-              case Stream::OpKind::kWaitEvent:
-                w.i32(op.wait->id_);
-                break;
-              case Stream::OpKind::kCallback:
-                throw SnapshotError(
-                    "stream " + std::to_string(s.id_) +
-                    " holds a queued host callback; callbacks are not "
-                    "serializable");
-            }
-        }
-    };
-    if (default_stream_)
-        save_stream(*default_stream_);
-    for (const auto& s : streams_)
-        save_stream(*s);
-
-    engine_.save_state(w, &snap.kernels);
-    w.tag(kTagEnd);
+    transfer(w, *this, snap.kernels);
     snap.archive = w.take();
     return snap;
 }
@@ -207,94 +260,7 @@ Gpu::restore(const Snapshot& snap)
 
     mem_->global().load_state(snap.gmem_next, *snap.gmem_data);
     SnapshotReader r(snap.archive);
-    mem_->load_state(r);
-
-    // Events first: stream ops and the engine reference them.
-    // Reconcile by id — ids are dense creation indices on both sides.
-    r.tag(kTagEvents);
-    uint64_t nevents = r.u64();
-    for (uint64_t i = 0; i < nevents; ++i) {
-        int id = r.i32();
-        if (id != static_cast<int>(i))
-            throw SnapshotError("event table not in id order");
-        std::string name = r.str();
-        if (events_.size() <= i)
-            events_.push_back(std::make_unique<Event>(id, std::move(name)));
-        Event& ev = *events_[i];
-        ev.recorded_ = r.b();
-        ev.complete_ = r.b();
-        ev.cycle_ = r.u64();
-    }
-    // Events this Gpu created beyond the snapshot: reset.
-    for (size_t i = nevents; i < events_.size(); ++i) {
-        events_[i]->recorded_ = false;
-        events_[i]->complete_ = false;
-        events_[i]->cycle_ = 0;
-    }
-
-    // Streams: recreate by id (ids are dense: default 0, created 1..),
-    // then refill the op queues.  record()/wait() are bypassed — they
-    // would clobber the event state restored above.
-    r.tag(kTagStreams);
-    bool has_default = r.b();
-    uint64_t nstreams = r.u64();
-    if (has_default)
-        default_stream();
-    while (streams_.size() < nstreams)
-        create_stream();
-    if (default_stream_)
-        default_stream_->ops_.clear();
-    for (auto& s : streams_)
-        s->ops_.clear();
-    auto load_stream = [&]() {
-        int id = r.i32();
-        Stream* s = nullptr;
-        if (id == 0)
-            s = default_stream_.get();
-        else if (id >= 1 && static_cast<size_t>(id) <= streams_.size())
-            s = streams_[static_cast<size_t>(id) - 1].get();
-        if (s == nullptr || s->id() != id)
-            throw SnapshotError("stream id table mismatch");
-        uint64_t nops = r.u64();
-        for (uint64_t i = 0; i < nops; ++i) {
-            uint8_t kind = r.u8();
-            s->ops_.emplace_back();
-            Stream::Op& op = s->ops_.back();
-            op.kind = static_cast<Stream::OpKind>(kind);
-            switch (op.kind) {
-              case Stream::OpKind::kLaunch: {
-                uint32_t ki = r.u32();
-                if (ki >= snap.kernels.size())
-                    throw SnapshotError("kernel table index out of range");
-                op.kernel = snap.kernels[ki];
-                break;
-              }
-              case Stream::OpKind::kRecordEvent: {
-                int eid = r.i32();
-                if (eid < 0 || static_cast<size_t>(eid) >= events_.size())
-                    throw SnapshotError("record event id out of range");
-                op.record = events_[static_cast<size_t>(eid)].get();
-                break;
-              }
-              case Stream::OpKind::kWaitEvent: {
-                int eid = r.i32();
-                if (eid < 0 || static_cast<size_t>(eid) >= events_.size())
-                    throw SnapshotError("wait event id out of range");
-                op.wait = events_[static_cast<size_t>(eid)].get();
-                break;
-              }
-              case Stream::OpKind::kCallback:
-                throw SnapshotError("archive holds a host callback op");
-            }
-        }
-    };
-    if (has_default)
-        load_stream();
-    for (uint64_t i = 0; i < nstreams; ++i)
-        load_stream();
-
-    engine_.load_state(r, snap.kernels, stream_list_);
-    r.tag(kTagEnd);
+    transfer(r, *this, snap.kernels);
     if (!r.done())
         throw SnapshotError("trailing bytes after the end tag");
 }

@@ -193,12 +193,19 @@ class Gpu
      * differ).  Restoring onto a freshly constructed Gpu recreates
      * streams and events by id; restoring onto the capturing Gpu
      * rewinds it.  Throws SnapshotError on version, config, or
-     * archive mismatches; the Gpu is unspecified (do not resume) if
-     * restore throws after validation passed.
+     * archive mismatches and on a corrupt archive.  If restore throws
+     * after validation passed, the Gpu holds no active run and its
+     * memory, events and streams are unspecified (do not resume).
      */
     void restore(const Snapshot& snap);
 
   private:
+    /** The archive walk behind snapshot() and restore(): the timing
+     *  hierarchy, events, stream queues and the engine's run. */
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, Gpu> self,
+                         KernelTable<Ar> kernels);
+
     GpuConfig cfg_;
     SimOptions opts_;
     /** Compiled fault plan (null = healthy chip).  Constructed before

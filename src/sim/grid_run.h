@@ -57,9 +57,9 @@ class RunStatsCollector
     /** SM @p sm's private slice (the only shard that SM may write). */
     RunStatsShard& shard(int sm) { return shards_[static_cast<size_t>(sm)]; }
 
-    /** Read-only shard access (snapshot serialization). */
-    size_t shard_count() const { return shards_.size(); }
-    const RunStatsShard& shard_at(size_t i) const { return shards_[i]; }
+    /** Every shard (snapshot walks). */
+    std::vector<RunStatsShard>& shards() { return shards_; }
+    const std::vector<RunStatsShard>& shards() const { return shards_; }
 
     uint64_t instructions() const
     {

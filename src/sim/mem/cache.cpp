@@ -112,35 +112,25 @@ Cache::flush()
     misses_ = 0;
 }
 
+template <class Ar>
 void
-Cache::save_state(SnapshotWriter& w) const
+Cache::transfer(Ar& ar, ArchiveRef<Ar, Cache> self)
 {
-    w.u64(lines_.size());
-    for (const Line& line : lines_) {
-        w.u64(line.tag);
-        w.u64(line.lru);
-        w.u8(line.sector_valid);
-        w.b(line.valid);
+    uint64_t lines = self.lines_.size();
+    ar.io(lines);
+    ar.check(lines == self.lines_.size(), "cache geometry mismatch");
+    for (auto& line : self.lines_) {
+        ar.io(line.tag);
+        ar.io(line.lru);
+        ar.io(line.sector_valid);
+        ar.io(line.valid);
     }
-    w.u64(tick_);
-    w.u64(hits_);
-    w.u64(misses_);
+    ar.io(self.tick_);
+    ar.io(self.hits_);
+    ar.io(self.misses_);
 }
 
-void
-Cache::load_state(SnapshotReader& r)
-{
-    if (r.u64() != lines_.size())
-        throw SnapshotError("cache geometry mismatch");
-    for (Line& line : lines_) {
-        line.tag = r.u64();
-        line.lru = r.u64();
-        line.sector_valid = r.u8();
-        line.valid = r.b();
-    }
-    tick_ = r.u64();
-    hits_ = r.u64();
-    misses_ = r.u64();
-}
+template void Cache::transfer(SnapshotWriter&, const Cache&);
+template void Cache::transfer(SnapshotReader&, Cache&);
 
 }  // namespace tcsim

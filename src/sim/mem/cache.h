@@ -14,11 +14,9 @@
 #include <vector>
 
 #include "common/stats.h"
+#include "sim/snapshot_io.h"
 
 namespace tcsim {
-
-class SnapshotReader;
-class SnapshotWriter;
 
 /** Outcome of a cache lookup. */
 enum class CacheOutcome { kHit, kSectorMiss, kLineMiss };
@@ -62,10 +60,10 @@ class Cache
     uint64_t hits() const { return hits_; }
     uint64_t misses() const { return misses_; }
 
-    /** Serialize/restore the full tag store, LRU clock and counters
-     *  (snapshot support; the geometry must match). */
-    void save_state(SnapshotWriter& w) const;
-    void load_state(SnapshotReader& r);
+    /** Snapshot walk over the full tag store, LRU clock and counters
+     *  (the geometry must match). */
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, Cache> self);
 
   private:
     struct Line

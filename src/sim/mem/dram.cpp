@@ -72,29 +72,22 @@ DramModel::reset()
     turnarounds_ = 0;
 }
 
+template <class Ar>
 void
-DramModel::save_state(SnapshotWriter& w) const
+DramModel::transfer(Ar& ar, ArchiveRef<Ar, DramModel> self)
 {
-    w.u64(parts_.size());
-    for (const Partition& p : parts_) {
-        p.chan.save_state(w);
-        w.b(p.last_write);
-        w.b(p.active);
+    uint64_t parts = self.parts_.size();
+    ar.io(parts);
+    ar.check(parts == self.parts_.size(), "DRAM partition count mismatch");
+    for (auto& p : self.parts_) {
+        BoundedChannel::transfer(ar, p.chan);
+        ar.io(p.last_write);
+        ar.io(p.active);
     }
-    w.u64(turnarounds_);
+    ar.io(self.turnarounds_);
 }
 
-void
-DramModel::load_state(SnapshotReader& r)
-{
-    if (r.u64() != parts_.size())
-        throw SnapshotError("DRAM partition count mismatch");
-    for (Partition& p : parts_) {
-        p.chan.load_state(r);
-        p.last_write = r.b();
-        p.active = r.b();
-    }
-    turnarounds_ = r.u64();
-}
+template void DramModel::transfer(SnapshotWriter&, const DramModel&);
+template void DramModel::transfer(SnapshotReader&, DramModel&);
 
 }  // namespace tcsim

@@ -14,11 +14,9 @@
 #include <vector>
 
 #include "sim/mem/queueing.h"
+#include "sim/snapshot_io.h"
 
 namespace tcsim {
-
-class SnapshotReader;
-class SnapshotWriter;
 
 /** Per-partition bandwidth/latency/queueing model. */
 class DramModel
@@ -71,10 +69,10 @@ class DramModel
     /** Reset queue state between engine runs. */
     void reset();
 
-    /** Serialize/restore per-partition queues, bus direction and
-     *  turnaround counter (snapshot support). */
-    void save_state(SnapshotWriter& w) const;
-    void load_state(SnapshotReader& r);
+    /** Snapshot walk over per-partition queues, bus direction and
+     *  turnaround counter. */
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, DramModel> self);
 
   private:
     struct Partition

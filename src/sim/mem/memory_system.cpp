@@ -187,42 +187,30 @@ MemorySystem::stats() const
     return s;
 }
 
+template <class Ar>
 void
-MemorySystem::save_state(SnapshotWriter& w) const
+MemorySystem::transfer(Ar& ar, ArchiveRef<Ar, MemorySystem> self)
 {
-    w.tag(kTagMemSystem);
-    w.u64(l1_.size());
-    for (size_t i = 0; i < l1_.size(); ++i) {
-        l1_[i]->save_state(w);
-        mshr_[i]->save_state(w);
+    ar.tag(kTagMemSystem);
+    uint64_t sms = self.l1_.size();
+    ar.io(sms);
+    ar.check(sms == self.l1_.size(), "per-SM cache count mismatch");
+    for (size_t i = 0; i < self.l1_.size(); ++i) {
+        Cache::transfer(ar, *self.l1_[i]);
+        MshrFile::transfer(ar, *self.mshr_[i]);
     }
-    l2_->save_state(w);
-    noc_.save_state(w);
-    w.u64(l2_banks_.size());
-    for (const BoundedChannel& b : l2_banks_)
-        b.save_state(w);
-    dram_->save_state(w);
-    w.u64(global_sectors_);
+    Cache::transfer(ar, *self.l2_);
+    BoundedChannel::transfer(ar, self.noc_);
+    uint64_t banks = self.l2_banks_.size();
+    ar.io(banks);
+    ar.check(banks == self.l2_banks_.size(), "L2 bank count mismatch");
+    for (auto& b : self.l2_banks_)
+        BoundedChannel::transfer(ar, b);
+    DramModel::transfer(ar, *self.dram_);
+    ar.io(self.global_sectors_);
 }
 
-void
-MemorySystem::load_state(SnapshotReader& r)
-{
-    r.tag(kTagMemSystem);
-    if (r.u64() != l1_.size())
-        throw SnapshotError("per-SM cache count mismatch");
-    for (size_t i = 0; i < l1_.size(); ++i) {
-        l1_[i]->load_state(r);
-        mshr_[i]->load_state(r);
-    }
-    l2_->load_state(r);
-    noc_.load_state(r);
-    if (r.u64() != l2_banks_.size())
-        throw SnapshotError("L2 bank count mismatch");
-    for (BoundedChannel& b : l2_banks_)
-        b.load_state(r);
-    dram_->load_state(r);
-    global_sectors_ = r.u64();
-}
+template void MemorySystem::transfer(SnapshotWriter&, const MemorySystem&);
+template void MemorySystem::transfer(SnapshotReader&, MemorySystem&);
 
 }  // namespace tcsim

@@ -29,12 +29,11 @@
 #include "sim/mem/global_memory.h"
 #include "sim/mem/mshr.h"
 #include "sim/mem/queueing.h"
+#include "sim/snapshot_io.h"
 
 namespace tcsim {
 
 class FaultPlan;
-class SnapshotReader;
-class SnapshotWriter;
 
 /** Why an access was refused (maps onto the pipeline StallReasons). */
 enum class MemAccept : uint8_t {
@@ -145,11 +144,12 @@ class MemorySystem
 
     MemStats stats() const;
 
-    /** Serialize/restore the whole timing hierarchy — L1s, MSHRs, L2,
-     *  NoC, bank queues, DRAM partitions and counters.  Global memory
-     *  contents are snapshotted separately (copy-on-write blob). */
-    void save_state(SnapshotWriter& w) const;
-    void load_state(SnapshotReader& r);
+    /** Snapshot walk over the whole timing hierarchy — L1s, MSHRs,
+     *  L2, NoC, bank queues, DRAM partitions and counters.  Global
+     *  memory contents are snapshotted separately (copy-on-write
+     *  blob). */
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, MemorySystem> self);
 
     /** Install a fault-injection plan (borrowed; null = healthy).
      *  Accepted L1-miss transactions — the ones that traverse the

@@ -110,37 +110,23 @@ MshrFile::reset()
     merges_ = 0;
 }
 
+template <class Ar>
 void
-MshrFile::save_state(SnapshotWriter& w) const
+MshrFile::transfer(Ar& ar, ArchiveRef<Ar, MshrFile> self)
 {
-    w.u64(active_.size());
-    for (const Entry& e : active_) {
-        w.u64(e.line);
-        for (uint64_t fill : e.sector_fill)
-            w.u64(fill);
-        w.u64(e.last_fill);
-    }
-    w.u64(peak_);
-    w.u64(merges_);
+    ar.seq(self.active_, [&](auto& e) {
+        ar.io(e.line);
+        for (auto& fill : e.sector_fill)
+            ar.io(fill);
+        ar.io(e.last_fill);
+    });
+    ar.check(self.active_.size() <= static_cast<size_t>(self.entries_),
+             "MSHR occupancy exceeds file size");
+    ar.io(self.peak_);
+    ar.io(self.merges_);
 }
 
-void
-MshrFile::load_state(SnapshotReader& r)
-{
-    uint64_t n = r.u64();
-    if (n > static_cast<uint64_t>(entries_))
-        throw SnapshotError("MSHR occupancy exceeds file size");
-    active_.clear();
-    for (uint64_t i = 0; i < n; ++i) {
-        Entry e;
-        e.line = r.u64();
-        for (uint64_t& fill : e.sector_fill)
-            fill = r.u64();
-        e.last_fill = r.u64();
-        active_.push_back(e);
-    }
-    peak_ = r.u64();
-    merges_ = r.u64();
-}
+template void MshrFile::transfer(SnapshotWriter&, const MshrFile&);
+template void MshrFile::transfer(SnapshotReader&, MshrFile&);
 
 }  // namespace tcsim

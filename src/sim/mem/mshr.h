@@ -18,11 +18,9 @@
 #include <cstddef>
 #include <cstdint>
 #include <vector>
+#include "sim/snapshot_io.h"
 
 namespace tcsim {
-
-class SnapshotReader;
-class SnapshotWriter;
 
 /** The miss-status holding register file of one L1. */
 class MshrFile
@@ -91,10 +89,11 @@ class MshrFile
 
     void reset();
 
-    /** Serialize/restore active entries (in scan order — find() walks
-     *  the vector linearly, so order is behaviour) and counters. */
-    void save_state(SnapshotWriter& w) const;
-    void load_state(SnapshotReader& r);
+    /** Snapshot walk over active entries (in scan order — find()
+     *  walks the vector linearly, so order is behaviour) and
+     *  counters. */
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, MshrFile> self);
 
   private:
     struct Entry

@@ -127,38 +127,32 @@ class BoundedChannel
         total_requests_ = 0;
     }
 
-    /** Serialize the runtime state (not the construction-time config,
-     *  which the restoring channel re-derives from GpuConfig; depth is
-     *  written anyway as a cheap config-skew check).  Live slots are
-     *  written in ring order and reloaded at head 0 — the physical
-     *  ring position is not observable through prune/submit/retry. */
-    void save_state(SnapshotWriter& w) const
+    /** Snapshot walk over the runtime state (not the construction-
+     *  time config, which the restoring channel re-derives from
+     *  GpuConfig; depth is written anyway as a cheap config-skew
+     *  check).  Live slots are written in ring order and reloaded at
+     *  head 0 — the physical ring position is not observable through
+     *  prune/submit/retry. */
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, BoundedChannel> self)
     {
-        w.u64(depth_);
-        w.f64(horizon_);
-        w.u64(count_);
-        for (size_t i = 0; i < count_; ++i)
-            w.f64(slots_[(head_ + i) % depth_]);
-        w.u64(queue_cycles_);
-        w.u64(total_bytes_);
-        w.u64(total_requests_);
-    }
-
-    void load_state(SnapshotReader& r)
-    {
-        if (r.u64() != depth_)
-            throw SnapshotError("BoundedChannel depth mismatch");
-        horizon_ = r.f64();
-        size_t count = r.u64();
-        if (count > depth_)
-            throw SnapshotError("BoundedChannel occupancy exceeds depth");
-        head_ = 0;
-        count_ = count;
-        for (size_t i = 0; i < count_; ++i)
-            slots_[i] = r.f64();
-        queue_cycles_ = r.u64();
-        total_bytes_ = r.u64();
-        total_requests_ = r.u64();
+        size_t depth = self.depth_;
+        ar.io(depth);
+        ar.check(depth == self.depth_, "BoundedChannel depth mismatch");
+        ar.io(self.horizon_);
+        size_t count = self.count_;
+        ar.io(count);
+        ar.check(count <= self.depth_,
+                 "BoundedChannel occupancy exceeds depth");
+        if constexpr (Ar::kLoading) {
+            self.head_ = 0;
+            self.count_ = count;
+        }
+        for (size_t i = 0; i < count; ++i)
+            ar.io(self.slots_[(self.head_ + i) % self.depth_]);
+        ar.io(self.queue_cycles_);
+        ar.io(self.total_bytes_);
+        ar.io(self.total_requests_);
     }
 
   private:

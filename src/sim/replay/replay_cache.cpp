@@ -4,55 +4,16 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "sim/stats_codec.h"
-
 namespace tcsim {
 
 namespace {
 
 /** Archive magic + layout version.  Bump the version on any change to
- *  the profile field order (save_profile below). */
+ *  the field order of ReplayCache::transfer or the walks it calls. */
 constexpr char kMagic[4] = {'T', 'C', 'R', 'P'};
 constexpr uint32_t kReplayArchiveVersion = 1;
 
 }  // namespace
-
-void
-save_profile(SnapshotWriter& w, const KernelTimingProfile& p)
-{
-    w.u64(p.cycles);
-    w.u64(p.instructions);
-    w.u64(p.hmma_instructions);
-    save_mem_stats(w, p.mem);
-    save_stalls(w, p.stalls);
-    save_macro_latency(w, p.macro_latency);
-    w.u64(p.occupancy.size());
-    for (const OccupancyPhase& o : p.occupancy) {
-        w.u64(o.offset);
-        w.u32(o.ctas_left);
-    }
-}
-
-KernelTimingProfile
-load_profile(SnapshotReader& r)
-{
-    KernelTimingProfile p;
-    p.cycles = r.u64();
-    p.instructions = r.u64();
-    p.hmma_instructions = r.u64();
-    load_mem_stats(r, &p.mem);
-    load_stalls(r, &p.stalls);
-    load_macro_latency(r, &p.macro_latency);
-    uint64_t n = r.u64();
-    p.occupancy.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-        OccupancyPhase o;
-        o.offset = r.u64();
-        o.ctas_left = r.u32();
-        p.occupancy.push_back(o);
-    }
-    return p;
-}
 
 ReplayCache::ReplayCache(const ReplayCache& other)
 {
@@ -130,21 +91,38 @@ ReplayCache::keys() const
     return out;
 }
 
+template <class Ar>
+void
+ReplayCache::transfer(Ar& ar,
+                      ArchiveRef<Ar, std::map<std::string, Entry>> entries)
+{
+    char magic[sizeof kMagic];
+    std::memcpy(magic, kMagic, sizeof kMagic);
+    ar.bytes(magic, sizeof magic);
+    if (std::memcmp(magic, kMagic, sizeof kMagic) != 0)
+        throw SnapshotError("replay cache: bad magic (not a TCRP archive)");
+    uint32_t version = kReplayArchiveVersion;
+    ar.io(version);
+    if (version != kReplayArchiveVersion)
+        throw SnapshotError(
+            "replay cache: format version mismatch (archive v" +
+            std::to_string(version) + ", this build v" +
+            std::to_string(kReplayArchiveVersion) + ")");
+    ar.map(entries, [&](auto& key, auto& e) {
+        ar.io(key);
+        tcsim::transfer(ar, e.profile);
+        ar.seq(e.durations, [&](auto& d) { ar.io(d); });
+        ar.check(!e.durations.empty(),
+                 "replay cache: entry has no recorded durations");
+    });
+}
+
 std::vector<uint8_t>
 ReplayCache::serialize() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     SnapshotWriter w;
-    w.bytes(kMagic, sizeof kMagic);
-    w.u32(kReplayArchiveVersion);
-    w.u64(profiles_.size());
-    for (const auto& [key, e] : profiles_) {
-        w.str(key);
-        save_profile(w, e.profile);
-        w.u64(e.durations.size());
-        for (uint64_t d : e.durations)
-            w.u64(d);
-    }
+    transfer(w, profiles_);
     return w.take();
 }
 
@@ -152,44 +130,24 @@ void
 ReplayCache::deserialize(const std::vector<uint8_t>& data)
 {
     SnapshotReader r(data);
-    char magic[4];
-    r.bytes(magic, sizeof magic);
-    if (std::memcmp(magic, kMagic, sizeof kMagic) != 0)
-        throw SnapshotError("replay cache: bad magic (not a TCRP archive)");
-    uint32_t version = r.u32();
-    if (version != kReplayArchiveVersion)
-        throw SnapshotError(
-            "replay cache: format version mismatch (archive v" +
-            std::to_string(version) + ", this build v" +
-            std::to_string(kReplayArchiveVersion) + ")");
-    uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n; ++i) {
-        std::string key = r.str();
-        KernelTimingProfile p = load_profile(r);
-        uint64_t count = r.u64();
-        if (count == 0)
-            throw SnapshotError(
-                "replay cache: entry \"" + key +
-                "\" has no recorded durations (corrupt archive?)");
-        std::vector<uint64_t> durations;
-        durations.reserve(count);
-        for (uint64_t d = 0; d < count; ++d)
-            durations.push_back(r.u64());
-        // Merge: the first-seen profile keeps the counter fields;
-        // duration sequences append in file order (load_dir sorts by
-        // name, so a fixed file set merges deterministically).
-        std::lock_guard<std::mutex> lk(mu_);
-        auto [it, inserted] = profiles_.try_emplace(std::move(key));
+    std::map<std::string, Entry> loaded;
+    transfer(r, loaded);
+    if (!r.done())
+        throw SnapshotError("replay cache: trailing bytes after entries");
+    // Merge: the first-seen profile keeps the counter fields; duration
+    // sequences append in file order (load_dir sorts by name, so a
+    // fixed file set merges deterministically).
+    std::lock_guard<std::mutex> lk(mu_);
+    for (auto& [key, e] : loaded) {
+        auto [it, inserted] = profiles_.try_emplace(key);
         if (inserted)
-            it->second.profile = std::move(p);
-        for (uint64_t d : durations) {
+            it->second.profile = std::move(e.profile);
+        for (uint64_t d : e.durations) {
             if (it->second.durations.size() >= kMaxRecordedDurations)
                 break;
             it->second.durations.push_back(d);
         }
     }
-    if (!r.done())
-        throw SnapshotError("replay cache: trailing bytes after entries");
 }
 
 bool

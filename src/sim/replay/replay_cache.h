@@ -25,9 +25,12 @@
  * against full-detail runs.  A profile holds the launch's natural
  * duration: fault holds (slowdowns) apply on top at replay.
  *
- * Profiles serialize through the snapshot_io codec ("TCRP" archives,
+ * Profiles serialize through the snapshot_io walks ("TCRP" archives,
  * one file per scenario under --replay-cache DIR) so cross-process
- * sweep workers can share a warmed cache.
+ * sweep workers can share a warmed cache.  The reader rejects a
+ * corrupt archive with a SnapshotError: a count larger than the bytes
+ * left, a macro class out of range, an entry without durations, a
+ * bad magic or version, and trailing bytes.
  */
 
 #include <cstdint>
@@ -41,6 +44,7 @@
 #include "sim/core/stall.h"
 #include "sim/mem/memory_system.h"
 #include "sim/snapshot_io.h"
+#include "sim/stats_codec.h"
 
 namespace tcsim {
 
@@ -87,11 +91,32 @@ inline constexpr size_t kMaxOccupancyPhases = 128;
  *  the key's context distribution; archives stay bounded). */
 inline constexpr size_t kMaxRecordedDurations = 1024;
 
-/** Serialize/deserialize one profile (field order is the contract;
- *  also embedded per-resident-launch in engine snapshots so a
- *  snapshot taken mid-replayed-kernel round-trips). */
-void save_profile(SnapshotWriter& w, const KernelTimingProfile& p);
-KernelTimingProfile load_profile(SnapshotReader& r);
+/** Snapshot walk over an occupancy timeline. */
+template <class Ar>
+void
+transfer(Ar& ar, ArchiveRef<Ar, std::vector<OccupancyPhase>> occupancy)
+{
+    ar.seq(occupancy, [&](auto& o) {
+        ar.io(o.offset);
+        ar.io(o.ctas_left);
+    });
+}
+
+/** Snapshot walk over one profile (field order is the contract; also
+ *  embedded per resident launch in engine snapshots, so a snapshot
+ *  taken mid-replayed-kernel round-trips). */
+template <class Ar>
+void
+transfer(Ar& ar, ArchiveRef<Ar, KernelTimingProfile> p)
+{
+    ar.io(p.cycles);
+    ar.io(p.instructions);
+    ar.io(p.hmma_instructions);
+    transfer(ar, p.mem);
+    transfer(ar, p.stalls);
+    transfer(ar, p.macro_latency);
+    transfer(ar, p.occupancy);
+}
 
 /**
  * The cache: fingerprint -> profile.  Counter fields (instructions,
@@ -141,7 +166,8 @@ class ReplayCache
     /** Whole-cache byte archive ("TCRP" magic + version + entries). */
     std::vector<uint8_t> serialize() const;
     /** Merge every entry of @p data into this cache (first writer
-     *  wins).  Throws SnapshotError on bad magic/version/truncation. */
+     *  wins).  Throws SnapshotError on a corrupt archive, before
+     *  anything is merged. */
     void deserialize(const std::vector<uint8_t>& data);
 
     /** Write the archive to @p path (atomic-ish: best effort).  False
@@ -163,6 +189,12 @@ class ReplayCache
         KernelTimingProfile profile;
         std::vector<uint64_t> durations;
     };
+
+    /** The archive walk: magic, version, then every entry in key
+     *  order. */
+    template <class Ar>
+    static void transfer(Ar& ar,
+                         ArchiveRef<Ar, std::map<std::string, Entry>> entries);
 
     mutable std::mutex mu_;
     std::map<std::string, Entry> profiles_;

@@ -6,11 +6,12 @@
  *
  * A Snapshot owns everything needed to resume a run bit-identically:
  * the serialized timing state of every subsystem (the `archive` byte
- * buffer, written by each class's save_state()), a side table of
- * KernelDesc copies (warp *programs* are regenerated from each
- * kernel's deterministic trace generator rather than serialized — a
- * KernelDesc's std::function trace is copyable but not byte-
- * serializable), and a copy-on-write blob of global-memory contents.
+ * buffer, written and read by one transfer() walk per type — see
+ * sim/snapshot_io.h), a side table of KernelDesc copies (warp
+ * *programs* are regenerated from each kernel's deterministic trace
+ * generator rather than serialized — a KernelDesc's std::function
+ * trace is copyable but not byte-serializable), and a copy-on-write
+ * blob of global-memory contents.
  *
  * Copying a Snapshot is cheap: the global-memory blob — by far the
  * largest piece — is a shared_ptr to immutable bytes, so a sweep
@@ -29,12 +30,34 @@
 
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "sim/kernel_desc.h"
 #include "sim/snapshot_io.h"
 
 namespace tcsim {
+
+/** The kernel side table a walk over archive @p Ar fills (saving) or
+ *  reads (loading). */
+template <class Ar>
+using KernelTable = std::conditional_t<Ar::kLoading,
+                                       const std::vector<KernelDesc>,
+                                       std::vector<KernelDesc>>&;
+
+/** Snapshot walk over a launch descriptor, archived as its index in
+ *  the side table @p table. */
+template <class Ar, class K>
+void
+transfer_kernel(Ar& ar, K& kernel, KernelTable<Ar> table)
+{
+    uint32_t index = static_cast<uint32_t>(table.size());
+    ar.index(index, table.size(), "kernel table index out of range");
+    if constexpr (Ar::kLoading)
+        kernel = table[index];
+    else
+        table.push_back(kernel);
+}
 
 /** Bump on any change to the archive layout. */
 inline constexpr uint32_t kSnapshotVersion = 4;

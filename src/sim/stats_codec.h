@@ -1,11 +1,11 @@
 #pragma once
 /**
  * @file
- * Shared snapshot codecs for the statistics value types (MemStats,
- * StallCounts, macro-latency histogram maps).  Both the engine's run
- * archive (save_state/load_state) and the replay-cache profile codec
- * serialize these — one definition keeps the field order from
- * diverging between the two formats.
+ * Snapshot walks (sim/snapshot_io.h) for the statistics value types:
+ * MemStats, StallCounts and the macro-latency histogram map (each
+ * Histogram walks its own samples, common/stats.h).  The engine's run
+ * archive and the replay-cache profile both embed these, so each
+ * field list is written once, here.
  */
 
 #include <map>
@@ -18,81 +18,43 @@
 
 namespace tcsim {
 
-inline void
-save_stalls(SnapshotWriter& w, const StallCounts& s)
+template <class Ar>
+void
+transfer(Ar& ar, ArchiveRef<Ar, StallCounts> s)
 {
-    for (uint64_t c : s.counts)
-        w.u64(c);
+    for (auto& c : s.counts)
+        ar.io(c);
 }
 
-inline void
-load_stalls(SnapshotReader& r, StallCounts* s)
+template <class Ar>
+void
+transfer(Ar& ar, ArchiveRef<Ar, MemStats> m)
 {
-    for (uint64_t& c : s->counts)
-        c = r.u64();
+    ar.io(m.l1_hits);
+    ar.io(m.l1_misses);
+    ar.io(m.l2_hits);
+    ar.io(m.l2_misses);
+    ar.io(m.dram_bytes);
+    ar.io(m.global_sectors);
+    ar.io(m.mshr_merges);
+    ar.io(m.noc_queue_cycles);
+    ar.io(m.l2_queue_cycles);
+    ar.io(m.dram_queue_cycles);
+    ar.io(m.dram_turnarounds);
+    ar.io(m.mshr_peak);
 }
 
-inline void
-save_mem_stats(SnapshotWriter& w, const MemStats& m)
+/** Per-class histograms, each with its samples in recorded order:
+ *  percentiles sort copies, so the stored order is what merge order
+ *  produced and must survive. */
+template <class Ar>
+void
+transfer(Ar& ar, ArchiveRef<Ar, std::map<MacroClass, Histogram>> m)
 {
-    w.u64(m.l1_hits);
-    w.u64(m.l1_misses);
-    w.u64(m.l2_hits);
-    w.u64(m.l2_misses);
-    w.u64(m.dram_bytes);
-    w.u64(m.global_sectors);
-    w.u64(m.mshr_merges);
-    w.u64(m.noc_queue_cycles);
-    w.u64(m.l2_queue_cycles);
-    w.u64(m.dram_queue_cycles);
-    w.u64(m.dram_turnarounds);
-    w.u64(m.mshr_peak);
-}
-
-inline void
-load_mem_stats(SnapshotReader& r, MemStats* m)
-{
-    m->l1_hits = r.u64();
-    m->l1_misses = r.u64();
-    m->l2_hits = r.u64();
-    m->l2_misses = r.u64();
-    m->dram_bytes = r.u64();
-    m->global_sectors = r.u64();
-    m->mshr_merges = r.u64();
-    m->noc_queue_cycles = r.u64();
-    m->l2_queue_cycles = r.u64();
-    m->dram_queue_cycles = r.u64();
-    m->dram_turnarounds = r.u64();
-    m->mshr_peak = r.u64();
-}
-
-inline void
-save_macro_latency(SnapshotWriter& w,
-                   const std::map<MacroClass, Histogram>& m)
-{
-    w.u64(m.size());
-    for (const auto& [mc, h] : m) {
-        w.i32(static_cast<int32_t>(mc));
-        // Samples in recorded order: percentiles sort copies, so the
-        // stored order is what merge order produced and must survive.
-        w.u64(h.count());
-        for (double v : h.samples())
-            w.f64(v);
-    }
-}
-
-inline void
-load_macro_latency(SnapshotReader& r, std::map<MacroClass, Histogram>* m)
-{
-    m->clear();
-    uint64_t n = r.u64();
-    for (uint64_t i = 0; i < n; ++i) {
-        MacroClass mc = static_cast<MacroClass>(r.i32());
-        Histogram& h = (*m)[mc];
-        uint64_t count = r.u64();
-        for (uint64_t s = 0; s < count; ++s)
-            h.add(r.f64());
-    }
+    ar.map(m, [&](auto& mc, auto& h) {
+        ar.template enumerated<int32_t>(mc, MacroClass::kWmmaStoreD);
+        Histogram::transfer(ar, h);
+    });
 }
 
 }  // namespace tcsim

@@ -50,27 +50,19 @@ class TensorCoreUnit
         return group_active() ? next_issue_ : unit_free_;
     }
 
-    /** Snapshot support.  The timing-table memo is a derived cache:
-     *  load drops it and the next issue repopulates it. */
-    void save_state(SnapshotWriter& w) const
+    /** Snapshot walk.  The timing-table memo is a derived cache:
+     *  loading drops it and the next issue repopulates it. */
+    template <class Ar>
+    static void transfer(Ar& ar, ArchiveRef<Ar, TensorCoreUnit> self)
     {
-        w.i32(active_warp_);
-        w.i32(position_);
-        w.u64(first_issue_);
-        w.u64(next_issue_);
-        w.u64(unit_free_);
-        w.u64(groups_issued_);
-    }
-
-    void load_state(SnapshotReader& r)
-    {
-        timing_ = nullptr;
-        active_warp_ = r.i32();
-        position_ = r.i32();
-        first_issue_ = r.u64();
-        next_issue_ = r.u64();
-        unit_free_ = r.u64();
-        groups_issued_ = r.u64();
+        if constexpr (Ar::kLoading)
+            self.timing_ = nullptr;
+        ar.io(self.active_warp_);
+        ar.io(self.position_);
+        ar.io(self.first_issue_);
+        ar.io(self.next_issue_);
+        ar.io(self.unit_free_);
+        ar.io(self.groups_issued_);
     }
 
   private:

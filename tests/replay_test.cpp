@@ -3,8 +3,10 @@
  * Kernel-timing replay cache (sim/replay/): profile and archive codec
  * round-trips, fingerprint isolation across GpuConfigs, the
  * bit-identity contract for same-context hits, determinism under the
- * parallel tick, and snapshot/restore with a replayed
- * kernel in flight (including restoring onto a replay-off engine).
+ * parallel tick, snapshot/restore with a replayed
+ * kernel in flight (including restoring onto a replay-off engine), the
+ * archive bytes of a recorded run, and that a corrupted archive is
+ * loaded or rejected with a SnapshotError, never a crash.
  */
 
 #include <gtest/gtest.h>
@@ -103,10 +105,11 @@ TEST(ReplayCache, ProfileCodecRoundTrip)
 {
     KernelTimingProfile p = sample_profile();
     SnapshotWriter w;
-    save_profile(w, p);
+    transfer(w, p);
     std::vector<uint8_t> bytes = w.take();
     SnapshotReader r(bytes);
-    KernelTimingProfile q = load_profile(r);
+    KernelTimingProfile q;
+    transfer(r, q);
     EXPECT_TRUE(r.done());
     expect_profiles_equal(p, q);
 }
@@ -427,6 +430,100 @@ TEST(Replay, SnapshotMidRecordingKeepsSequenceSlots)
     EXPECT_EQ(rep.replay_hits, 3u);
     EXPECT_EQ(rep.cycles, base.cycles);
     (void)out;
+}
+
+/** FNV-1a 64 digest of an archive. */
+uint64_t
+fnv1a(const std::vector<uint8_t>& bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** The .rpc archive of three recorded serial GEMMs. */
+std::vector<uint8_t>
+recorded_archive()
+{
+    ReplayCache cache;
+    SimOptions record;
+    record.replay_mode = SimOptions::ReplayMode::kRecord;
+    record.replay_cache = &cache;
+    run_serial_gemms(small_titan_v(4), record, 3, 64);
+    return cache.serialize();
+}
+
+TEST(ReplayCache, ArchiveBytesArePinned)
+{
+    // A change to the .rpc layout must bump the archive version
+    // (kReplayArchiveVersion) and these two constants together.
+    constexpr uint64_t kPinnedDigest = 15672900863245874855ull;
+    constexpr size_t kPinnedSize = 3858;
+    std::vector<uint8_t> bytes = recorded_archive();
+    EXPECT_EQ(bytes.size(), kPinnedSize);
+    EXPECT_EQ(fnv1a(bytes), kPinnedDigest);
+}
+
+/** Overwrite @p n little-endian bytes of @p bytes at @p at. */
+void
+patch(std::vector<uint8_t>* bytes, size_t at, uint64_t v, int n)
+{
+    for (int i = 0; i < n; ++i)
+        (*bytes)[at + static_cast<size_t>(i)] =
+            static_cast<uint8_t>(v >> (8 * i));
+}
+
+TEST(ReplayCache, CorruptArchiveIsLoadedOrRejected)
+{
+    // Every single-byte corruption of a recorded archive either loads
+    // or throws SnapshotError.
+    const std::vector<uint8_t> good = recorded_archive();
+    std::vector<uint8_t> bad = good;
+    size_t loaded = 0, rejected = 0;
+    for (size_t i = 0; i < good.size(); ++i) {
+        bad[i] ^= 0xFF;
+        ReplayCache cache;
+        try {
+            cache.deserialize(bad);
+            ++loaded;
+        } catch (const SnapshotError&) {
+            ++rejected;
+        }
+        bad[i] = good[i];
+    }
+    EXPECT_GT(loaded, 0u);
+    EXPECT_GT(rejected, 0u);
+
+    // Crafted archives over one entry whose profile holds a single
+    // empty macro-latency histogram and no occupancy samples.  The
+    // archive ends with: the macro class (i32), its sample count, the
+    // occupancy count, the duration count and the one duration.
+    ReplayCache one;
+    KernelTimingProfile p;
+    p.cycles = 100;
+    p.macro_latency[MacroClass::kWmmaMma];
+    one.record("k", 0, p);
+    const std::vector<uint8_t> base = one.serialize();
+    const size_t end = base.size();
+    ReplayCache ok;
+    ok.deserialize(base);
+    EXPECT_EQ(ok.size(), 1u);
+
+    const uint64_t huge = 0x4000000000000000ull;
+    std::vector<uint8_t> occupancy = base;
+    patch(&occupancy, end - 24, huge, 8);
+    std::vector<uint8_t> durations = base;
+    patch(&durations, end - 16, huge, 8);
+    std::vector<uint8_t> macro = base;
+    patch(&macro, end - 36, 99, 4);
+    for (const auto* crafted : {&occupancy, &durations, &macro}) {
+        ReplayCache cache;
+        EXPECT_THROW(cache.deserialize(*crafted), SnapshotError);
+        EXPECT_EQ(cache.size(), 0u);
+    }
 }
 
 }  // namespace

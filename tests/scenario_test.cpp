@@ -243,6 +243,13 @@ TEST(Scenario, RejectsUnknownKeys)
       "kernels": [{"kernel": "hmma_stress"}]
     })"),
                  ScenarioError);
+    // The SM-array floor is the sweep runner's own setting
+    // (SimOptions::min_sms), not a scenario key.
+    EXPECT_THROW(parse_scenario_text(R"({
+      "name": "s", "sim": {"min_sms": 4},
+      "kernels": [{"kernel": "hmma_stress"}]
+    })"),
+                 ScenarioError);
 }
 
 TEST(Scenario, RejectsInvalidValues)

@@ -5,16 +5,20 @@
  * macro-latency sample — to the same run advanced without
  * interruption, for every sim-thread count and both main loops.  Also
  * pins the failure modes (version/config/scheduler mismatch, queued
- * callbacks, idle capture) and the reset audit (restoring onto a dirty
- * Gpu equals restoring onto a fresh one).
+ * callbacks, idle capture), the reset audit (restoring onto a dirty
+ * Gpu equals restoring onto a fresh one), the archive bytes of a
+ * workload that fills every section, and that a corrupted archive is
+ * restored or rejected with a SnapshotError, never a crash.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "kernels/gemm_kernels.h"
 #include "sim/gpu.h"
+#include "sim/replay/replay_cache.h"
 #include "sim/snapshot.h"
 
 namespace tcsim {
@@ -394,7 +398,7 @@ TEST(Snapshot, FunctionalKernelsForkWithMemoryContents)
 
 TEST(Snapshot, RestoreOntoDirtyGpuEqualsFreshRestore)
 {
-    // The reset audit: load_state must fully overwrite cache arrays,
+    // The reset audit: a restore must fully overwrite cache arrays,
     // MSHR files, queue rings and DRAM state left behind by an earlier
     // completed run — a dirty Gpu and a fresh Gpu restore identically.
     GpuConfig cfg = mem_bound_config(4);
@@ -501,6 +505,124 @@ TEST(Snapshot, MismatchesRejectedBeforeMutation)
     // still restores and runs identically afterwards.
     target.restore(snap);
     expect_identical(base, target.run());
+}
+
+/** FNV-1a 64 digest of an archive. */
+uint64_t
+fnv1a(const std::vector<uint8_t>& bytes)
+{
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (uint8_t b : bytes) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+TEST(Snapshot, ArchiveBytesArePinned)
+{
+    // A timing-only workload that fills every archive section: two
+    // streams with queued launches, an event record and an event
+    // wait; a replayed launch mid-flight beside a recording launch
+    // whose global loads are still in the MIO queues.  A change to
+    // the archive layout must bump kSnapshotVersion and these two
+    // constants together.
+    constexpr uint64_t kPinnedDigest = 3408635479989332597ull;
+    constexpr size_t kPinnedSize = 58926;
+
+    GpuConfig cfg = mem_bound_config(4);
+    cfg.l2_size = 64 * 1024;
+    GemmKernelConfig kc;
+    kc.m = kc.n = kc.k = 64;
+    kc.functional = false;
+    auto shared_gemm = [&](Gpu& gpu) {
+        return make_wmma_gemm_shared(kc, alloc_gemm_buffers(gpu, 64));
+    };
+    ReplayCache cache;
+    {
+        SimOptions record;
+        record.replay_mode = SimOptions::ReplayMode::kRecord;
+        record.replay_cache = &cache;
+        Gpu warm(cfg, record);
+        warm.default_stream().enqueue(shared_gemm(warm));
+        warm.run();
+    }
+    SimOptions replay;
+    replay.replay_mode = SimOptions::ReplayMode::kReplay;
+    replay.replay_cache = &cache;
+    Gpu gpu(cfg, replay);
+    Stream& s1 = gpu.default_stream();
+    Stream& s2 = gpu.create_stream();
+    Event& e = gpu.create_event("replayed_done");
+    s1.enqueue(shared_gemm(gpu));  // Hit: replays.
+    s1.record(e);
+    s1.enqueue(shared_gemm(gpu));
+    s2.enqueue(make_wmma_gemm_naive(kc, alloc_gemm_buffers(gpu, 64)));
+    s2.wait(e);
+    s2.enqueue(make_wmma_gemm_naive(kc, alloc_gemm_buffers(gpu, 64)));
+    gpu.run_until(600);
+    ASSERT_TRUE(gpu.run_active());
+    ASSERT_FALSE(e.complete());
+    Snapshot snap = gpu.snapshot();
+    EXPECT_EQ(snap.version, 4u);
+    EXPECT_EQ(snap.archive.size(), kPinnedSize);
+    EXPECT_EQ(fnv1a(snap.archive), kPinnedDigest);
+
+    // Both sides of the fork finish identically, each recording into
+    // its own copy of the cache.
+    ReplayCache fork_cache = cache;
+    EngineStats straight = gpu.run();
+    SimOptions fork_opts = replay;
+    fork_opts.replay_cache = &fork_cache;
+    Gpu fork(cfg, fork_opts);
+    fork.restore(snap);
+    expect_identical(straight, fork.run());
+    EXPECT_EQ(straight.replay_hits, 1u);
+}
+
+TEST(Snapshot, CorruptArchiveIsRestoredOrRejected)
+{
+    // Flip bytes of a mid-run archive in turn: each restore onto a
+    // fresh Gpu either succeeds or throws SnapshotError.  Anything
+    // else (a crash, std::length_error, std::bad_alloc, a hang) is a
+    // reader that trusted a count, an enum or an index.  Every byte
+    // from the events section onward is flipped; the memory section
+    // before it (mostly cache tags, no counts) every 16th byte.
+    GpuConfig cfg = small_titan_v(2);
+    cfg.l1_size = 16 * 1024;
+    cfg.l2_size = 64 * 1024;
+    SimOptions opts;
+    Gpu gpu(cfg, opts);
+    enqueue_gemm(gpu, 64);
+    gpu.run_until(800);
+    ASSERT_TRUE(gpu.run_active());
+    const Snapshot snap = gpu.snapshot();
+    ASSERT_EQ(snap.archive.size(), 41015u);
+    // The events section: its tag, no events, then the streams tag.
+    const std::vector<uint8_t> events = {kTagEvents, 0, 0, 0, 0, 0,
+                                         0,          0, 0, kTagStreams};
+    const size_t events_at = static_cast<size_t>(
+        std::search(snap.archive.begin(), snap.archive.end(),
+                    events.begin(), events.end()) -
+        snap.archive.begin());
+    ASSERT_LT(events_at, snap.archive.size());
+
+    Snapshot bad = snap;
+    size_t restored = 0, rejected = 0;
+    for (size_t i = 0; i < snap.archive.size();
+         i += i < events_at ? 16 : 1) {
+        bad.archive[i] ^= 0xFF;
+        Gpu fresh(cfg, opts);
+        try {
+            fresh.restore(bad);
+            ++restored;
+        } catch (const SnapshotError&) {
+            ++rejected;
+        }
+        bad.archive[i] = snap.archive[i];
+    }
+    EXPECT_GT(restored, 0u);
+    EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

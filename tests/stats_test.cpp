@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for counters, histograms, and the correlation/error math used
+ * Tests for histograms and the correlation/error math used
  * by the evaluation harness.
  */
 
@@ -12,17 +12,6 @@
 
 namespace tcsim {
 namespace {
-
-TEST(Counter, IncrementAndReset)
-{
-    Counter c("x");
-    EXPECT_EQ(c.value(), 0u);
-    c.inc();
-    c.inc(5);
-    EXPECT_EQ(c.value(), 6u);
-    c.reset();
-    EXPECT_EQ(c.value(), 0u);
-}
 
 TEST(Histogram, BasicMoments)
 {
@@ -110,18 +99,6 @@ TEST(StatsMath, RelativeErrors)
                  3.0;
     EXPECT_NEAR(stats::rel_stddev_pct(ref, meas), 100.0 * std::sqrt(var),
                 1e-9);
-}
-
-TEST(StatRegistry, NamedAccess)
-{
-    StatRegistry reg;
-    reg.counter("cycles").inc(10);
-    reg.counter("cycles").inc(5);
-    EXPECT_EQ(reg.counter("cycles").value(), 15u);
-    reg.histogram("lat").add(3.0);
-    EXPECT_EQ(reg.histogram("lat").count(), 1u);
-    reg.reset();
-    EXPECT_EQ(reg.counters().size(), 0u);
 }
 
 }  // namespace

@@ -42,6 +42,7 @@ Exit status: 0 when the gate holds, 1 otherwise.
 import glob
 import json
 import os
+import shutil
 import subprocess
 import sys
 
@@ -195,6 +196,9 @@ def gate_replay(simrunner, workdir):
         full = os.path.join(workdir, stem + "_full.json")
         record = os.path.join(workdir, stem + "_record.json")
         replay = os.path.join(workdir, stem + "_replay.json")
+        # Record into an empty cache: a directory left by an earlier
+        # run (or an older archive version) would be merged first.
+        shutil.rmtree(cache, ignore_errors=True)
         if simrunner_report(simrunner, ["--jobs", "1"] + inp, full) != 0:
             problems.append("{}: full-detail leg failed".format(stem))
             continue

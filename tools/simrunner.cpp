@@ -502,7 +502,15 @@ main(int argc, char** argv)
     ReplayCache replay_cache;
     if (opts.replay_mode >= 0) {
         if (!opts.replay_cache_dir.empty()) {
-            size_t merged = replay_cache.load_dir(opts.replay_cache_dir);
+            size_t merged = 0;
+            try {
+                merged = replay_cache.load_dir(opts.replay_cache_dir);
+            } catch (const std::exception& e) {
+                std::fprintf(stderr,
+                             "simrunner: cannot load replay cache %s: %s\n",
+                             opts.replay_cache_dir.c_str(), e.what());
+                return 1;
+            }
             if (merged > 0)
                 std::printf("replay cache: merged %zu file(s) from %s "
                             "(%zu profile(s))\n",
