@@ -7,7 +7,7 @@
  *
  * K is capped at 256 for the largest sizes: per-instruction latency
  * medians stabilize within a few K iterations, and the cap keeps the
- * cycle-level simulation tractable (DESIGN.md section 4).
+ * cycle-level simulation tractable.
  */
 
 #include <cstdio>

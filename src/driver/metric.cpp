@@ -283,10 +283,11 @@ unmet(const MetricRef& ref, const Scenario& sc)
     const Needs needs = ref.def->needs;
     bool named = false, functional = false;
     for (const KernelSpec& k : sc.kernels) {
-        named |= ref.item == (ref.def->section == kEvent ? k.record_event
-                                                          : k.name);
+        named |= ref.def->section == kKernel && k.name == ref.item;
         functional |= k.functional && (ref.item.empty() || k.name == ref.item);
     }
+    for (const std::string& e : sc.plan.record_event)
+        named |= ref.def->section == kEvent && e == ref.item;
     if ((needs == kKernels || needs == kFunctional) && sc.is_serving())
         return "a \"serving\" scenario reports total.*, mem.*, serve.* "
                "and fault.* only";
@@ -338,10 +339,12 @@ metric_paths(const Scenario& sc)
             continue;
         const bool named = d.section == kKernel || d.section == kEvent;
         std::vector<std::string> items{""};
-        if (named) {
+        if (d.section == kKernel) {
             items.clear();
             for (const KernelSpec& k : sc.kernels)
-                items.push_back(d.section == kKernel ? k.name : k.record_event);
+                items.push_back(k.name);
+        } else if (d.section == kEvent) {
+            items = sc.plan.record_event;
         }
         for (const std::string& item : items)
             for (const std::string& m :

@@ -6,6 +6,7 @@
 #include <cstdio>
 #include <memory>
 #include <set>
+#include <span>
 #include <thread>
 
 #include "common/logging.h"
@@ -158,54 +159,44 @@ spec_flops(const KernelSpec& spec)
                              spec.wmma_per_warp);
 }
 
-/** Engine streams for @p kernels, indexed by KernelSpec::stream: the
- *  default stream first, then one created stream per compiled stream
- *  id (the compiler numbers them densely from 1). */
-std::vector<Stream*>
-open_streams(Gpu* gpu, const std::vector<KernelSpec>& kernels)
-{
-    std::vector<Stream*> streams{&gpu->default_stream()};
-    for (const KernelSpec& spec : kernels)
-        while (static_cast<int>(streams.size()) <= spec.stream)
-            streams.push_back(&gpu->create_stream());
-    return streams;
-}
-
 /**
- * Enqueue @p prepared in declaration order, with each launch's waits
- * before it and its record after it.  Named events find-or-create, so
- * a fork finds the prefix events its restore recreated.
+ * Stage @p specs on @p gpu: prepare each kernel, check that it fits an
+ * SM, then enqueue them all — through Gpu::launch_graph when @p plan
+ * is their compiled task graph, else in declaration order on the
+ * default stream.  The prepared kernels come back for verification.
  */
-void
-enqueue_kernels(Gpu* gpu, std::vector<PreparedKernel>* prepared,
-                const std::vector<Stream*>& streams)
+std::vector<PreparedKernel>
+stage_kernels(Gpu* gpu, const GpuConfig& cfg,
+              std::span<const KernelSpec> specs,
+              const TaskGraph::Compiled* plan = nullptr)
 {
-    auto named_event = [&](const std::string& name) -> Event& {
-        Event* ev = gpu->find_event(name);
-        return ev ? *ev : gpu->create_event(name);
-    };
-    for (PreparedKernel& pk : *prepared) {
-        const KernelSpec& spec = *pk.spec;
-        Stream* stream = streams.at(static_cast<size_t>(spec.stream));
-        for (const std::string& e : spec.wait_events)
-            stream->wait(named_event(e));
-        stream->enqueue(std::move(pk.desc));
-        if (!spec.record_event.empty())
-            stream->record(named_event(spec.record_event));
+    std::vector<PreparedKernel> prepared;
+    prepared.reserve(specs.size());
+    for (const KernelSpec& spec : specs) {
+        prepared.push_back(prepare_kernel(spec, cfg.arch, &gpu->mem()));
+        check_kernel_fits(cfg, prepared.back().desc);
     }
+    if (plan) {
+        std::vector<KernelDesc> descs;
+        descs.reserve(prepared.size());
+        for (PreparedKernel& pk : prepared)
+            descs.push_back(std::move(pk.desc));
+        gpu->launch_graph(*plan, std::move(descs));
+    } else {
+        for (PreparedKernel& pk : prepared)
+            gpu->default_stream().enqueue(std::move(pk.desc));
+    }
+    return prepared;
 }
 
-/** Completion stamps of the scenario's named events, name order. */
+/** Completion stamps of the plan's events, name order. */
 void
 collect_events(ScenarioResult* r, const Scenario& scenario, Gpu* gpu)
 {
     std::set<std::string> names;
-    for (const KernelSpec& spec : scenario.kernels) {
-        if (!spec.record_event.empty())
-            names.insert(spec.record_event);
-        for (const std::string& e : spec.wait_events)
+    for (const std::string& e : scenario.plan.record_event)
+        if (!e.empty())
             names.insert(e);
-    }
     for (const std::string& name : names) {
         Event* ev = gpu->find_event(name);
         if (ev && ev->complete())
@@ -219,11 +210,12 @@ void
 attribute_kernels(ScenarioResult* r, const Scenario& scenario,
                   const GpuConfig& cfg)
 {
-    for (const KernelSpec& spec : scenario.kernels) {
+    for (size_t i = 0; i < scenario.kernels.size(); ++i) {
+        const KernelSpec& spec = scenario.kernels[i];
         KernelResult kr;
         kr.name = spec.name;
         kr.family = spec.family;
-        kr.stream = spec.stream;
+        kr.stream = scenario.stream_of(i);
         kr.flops = spec_flops(spec);
         for (const LaunchStats& ls : r->totals.kernels)
             if (ls.kernel == kr.name)
@@ -379,14 +371,9 @@ run_kernels(const Scenario& scenario, const GpuConfig& cfg,
             const SimOptions& sim, ScenarioResult* result)
 {
     Gpu gpu(cfg, sim, scenario.faults);
-
-    std::vector<PreparedKernel> prepared;
-    prepared.reserve(scenario.kernels.size());
-    for (const KernelSpec& spec : scenario.kernels) {
-        prepared.push_back(prepare_kernel(spec, cfg.arch, &gpu.mem()));
-        check_kernel_fits(cfg, prepared.back().desc);
-    }
-    enqueue_kernels(&gpu, &prepared, open_streams(&gpu, scenario.kernels));
+    std::vector<PreparedKernel> prepared =
+        stage_kernels(&gpu, cfg, scenario.kernels,
+                      scenario.declarative ? &scenario.plan : nullptr);
 
     result->totals = gpu.run();
 
@@ -487,18 +474,10 @@ run_forked_point(const Scenario& sc, size_t index, const GpuConfig& cfg,
             Gpu gpu(cfg, sim);
             gpu.restore(snap);
 
-            const size_t n_prefix = sc.kernels.size();
-            std::vector<PreparedKernel> prepared;
-            prepared.reserve(merged.kernels.size() - n_prefix);
-            for (size_t i = n_prefix; i < merged.kernels.size(); ++i) {
-                prepared.push_back(
-                    prepare_kernel(merged.kernels[i], cfg.arch, &gpu.mem()));
-                check_kernel_fits(cfg, prepared.back().desc);
-            }
             // Sweeps are plain: every point kernel joins the restored
             // default stream behind the prefix.
-            enqueue_kernels(&gpu, &prepared,
-                            open_streams(&gpu, merged.kernels));
+            stage_kernels(&gpu, cfg,
+                          std::span(merged.kernels).subspan(sc.kernels.size()));
 
             r->totals = gpu.run();
             attribute_kernels(r, merged, cfg);
@@ -590,14 +569,7 @@ run_sweep(const Scenario& scenario, int jobs, int sim_threads_override,
     Snapshot snap;
     try {
         Gpu prefix(cfg, sim);
-        std::vector<PreparedKernel> prepared;
-        prepared.reserve(scenario.kernels.size());
-        for (const KernelSpec& spec : scenario.kernels) {
-            prepared.push_back(prepare_kernel(spec, cfg.arch, &prefix.mem()));
-            check_kernel_fits(cfg, prepared.back().desc);
-        }
-        enqueue_kernels(&prefix, &prepared,
-                        open_streams(&prefix, scenario.kernels));
+        stage_kernels(&prefix, cfg, scenario.kernels);
 
         prefix.run_until(scenario.sweep.fork_cycle);
         if (!prefix.run_active())

@@ -111,22 +111,14 @@ parse_kernel(const JsonValue& obj, size_t index, std::string where,
                        "\" (known: " + kernel_family_names() + ")");
 
     // Dependencies are stated one way: read/write sets over a tensor
-    // arena, from which the compiler derives streams and events.  Only
-    // that form keeps record_event (event naming) and wait_event (an
-    // audited annotation).
+    // arena, from which the compiler derives streams and events.
     where += " (" + spec.family + ")";
-    std::vector<const char*> plumbing = {"stream", "sync"};
-    if (!declarative) {
-        plumbing.push_back("record_event");
-        plumbing.push_back("wait_event");
-        if (obj.find("reads") || obj.find("writes"))
-            fail(file, where +
-                           ": \"reads\"/\"writes\" belong to the "
-                           "declarative form (a scenario with a "
-                           "\"tensors\" arena); sweep points take plain "
-                           "kernels");
-    }
-    for (const char* key : plumbing)
+    if (!declarative && (obj.find("reads") || obj.find("writes")))
+        fail(file, where +
+                       ": \"reads\"/\"writes\" belong to the declarative "
+                       "form (a scenario with a \"tensors\" arena); sweep "
+                       "points take plain kernels");
+    for (const char* key : {"stream", "sync", "record_event", "wait_event"})
         if (obj.find(key))
             fail(file, where + ": no \"" + key +
                            "\" key: state dependencies with a \"tensors\" "
@@ -141,19 +133,18 @@ parse_kernel(const JsonValue& obj, size_t index, std::string where,
         check_keys(obj,
                    {"kernel", "name", "m", "n", "k", "mode", "a_layout",
                     "b_layout", "cd_layout", "functional", "warps_per_cta",
-                    "wait_event", "record_event", "reads", "writes"},
+                    "reads", "writes"},
                    where, file);
     } else if (info->is_gemm) {
         check_keys(obj,
                    {"kernel", "name", "m", "n", "k", "mode", "a_layout",
-                    "b_layout", "cd_layout", "functional", "wait_event",
-                    "record_event", "reads", "writes"},
+                    "b_layout", "cd_layout", "functional", "reads",
+                    "writes"},
                    where, file);
     } else {
         check_keys(obj,
                    {"kernel", "name", "mode", "ctas", "warps_per_cta",
-                    "wmma_per_warp", "accumulators", "wait_event",
-                    "record_event", "reads", "writes"},
+                    "wmma_per_warp", "accumulators", "reads", "writes"},
                    where, file);
     }
 
@@ -190,23 +181,6 @@ parse_kernel(const JsonValue& obj, size_t index, std::string where,
     spec.ctas = get_int(obj, "ctas", 8, file);
     spec.wmma_per_warp = get_int(obj, "wmma_per_warp", 64, file);
     spec.accumulators = get_int(obj, "accumulators", 4, file);
-
-    if (const JsonValue* v = obj.find("record_event")) {
-        spec.record_event = v->as_string();
-        if (spec.record_event.empty())
-            fail(file, where + ": record_event must be a non-empty string");
-    }
-    if (const JsonValue* v = obj.find("wait_event")) {
-        if (v->is_array()) {
-            for (const JsonValue& e : v->as_array())
-                spec.wait_events.push_back(e.as_string());
-        } else {
-            spec.wait_events.push_back(v->as_string());
-        }
-        for (const std::string& e : spec.wait_events)
-            if (e.empty())
-                fail(file, where + ": wait_event names must be non-empty");
-    }
 
     if (info->is_gemm) {
         if (spec.m <= 0 || spec.n <= 0 || spec.k <= 0)
@@ -1189,13 +1163,10 @@ parse_scenario(const JsonValue& doc, const std::string& file)
             sc.kernels.push_back(std::move(spec));
         }
     }
-    // Compile read/write sets into streams and events; the plan is
-    // lowered onto the per-kernel stream/record/wait fields.  A plain
+    // Compile read/write sets into streams and events.  A plain
     // scenario is one ordered queue on the default stream.
     if (sc.declarative)
         compile_taskgraph(&sc, file);
-    else
-        sc.dag.num_streams = 1;
 
     if (const JsonValue* v = doc.find("verify_tolerance")) {
         sc.verify_tolerance = v->as_number();

@@ -3,9 +3,10 @@
  * @file
  * Declarative simulation scenarios: a small JSON format that names a
  * GPU preset plus config overrides, a scheduler policy, a list of
- * kernel launches (family, GEMM shape, precision, layouts, stream),
- * and expected-metric assertions.  Every workload the paper sweeps by
- * recompiling a bench binary becomes a data file under scenarios/.
+ * kernel launches (family, GEMM shape, precision, layouts, read/write
+ * sets), and expected-metric assertions.  Every workload the paper
+ * sweeps by recompiling a bench binary becomes a data file under
+ * scenarios/.
  *
  * Schema (all keys optional unless noted; unknown keys are errors):
  *
@@ -40,13 +41,9 @@
  *        "warps_per_cta": 8,                // wmma_naive only
  *        "ctas": 8, "wmma_per_warp": 64,    // hmma_stress only
  *        "accumulators": 4,
- *        "reads": ["A0"], "writes": ["A1"], // declarative form: the
+ *        "reads": ["A0"], "writes": ["A1"]}],// declarative form: the
  *                                           //   task-graph compiler
  *                                           //   derives streams/events
- *        "record_event": "e2",              // declarative only: name
- *                                           //   this task's event
- *        "wait_event": "e0" | ["e0","e1"]}],// declarative only: audit
- *                                           //   an edge (never obeyed)
  *     "verify_tolerance": 0.05,             // max rel err, functional runs
  *     "expect": [
  *       {"metric": "total.cycles", "max": 60000, "min": 1000},
@@ -137,12 +134,11 @@
  * "tensors" arena (or any kernel declaring "reads"/"writes") is in
  * the declarative form, handled by the task-graph frontend
  * (driver/taskgraph.h): every kernel declares its read/write sets and
- * the compiler derives streams and events; record_event names a
- * task's event and wait_event is an audited annotation.  The compiled
- * plan is lowered onto KernelSpec's stream/record_event/wait_events,
- * so the runner and engine see plain streams and events.  There is no
- * "stream" or "sync" key, and record_event/wait_event outside the
- * declarative form are rejected with a ScenarioError that points to
+ * the compiler derives streams and events, each event named
+ * "<task>_done" after its producer.  The Scenario keeps the compiled
+ * plan, and the runner enqueues it through Gpu::launch_graph.  There
+ * is no "stream", "sync", "record_event" or "wait_event" key, in
+ * either form: each is rejected with a ScenarioError that points to
  * "tensors" plus "reads"/"writes".
  */
 
@@ -158,6 +154,7 @@
 #include "serve/request_trace.h"
 #include "sim/engine.h"
 #include "sim/fault/fault_plan.h"
+#include "sim/graph/task_graph.h"
 #include "tensor/types.h"
 
 namespace tcsim {
@@ -197,16 +194,6 @@ struct KernelSpec
     /** Tensor names this kernel reads / writes. */
     std::vector<std::string> reads, writes;
 
-    // The launch plan.  The task-graph compiler lowers the declarative
-    // form onto these fields; a plain scenario keeps the defaults (one
-    // ordered queue on the default stream, no events).
-    /** Engine stream: 0 = the default stream, 1.. = compiled streams
-     *  (dense, in creation order). */
-    int stream = 0;
-    /** Events this launch's stream waits on before it may start. */
-    std::vector<std::string> wait_events;
-    /** Event recorded on the stream right after this launch. */
-    std::string record_event;
     /** Source position of the kernel object (diagnostics). */
     int line = 0, col = 0;
 };
@@ -292,9 +279,16 @@ struct Scenario
     std::vector<TensorSpec> tensors;
     /** True when the task-graph compiler derived streams/events. */
     bool declarative = false;
-    /** The dependency DAG: the compiled plan when declarative, else
-     *  edgeless (one ordered queue on the default stream). */
-    TaskGraphDag dag;
+    /** The compiled task graph when declarative (kernels[t] is task
+     *  t); empty for a plain scenario, one ordered queue on the default
+     *  stream. */
+    TaskGraph::Compiled plan;
+    /** Engine stream of kernels[i]: its compiled stream (1..) when
+     *  declarative, else 0 (the default stream). */
+    int stream_of(size_t i) const
+    {
+        return declarative ? plan.stream_of[i] : 0;
+    }
     std::vector<Expectation> expect;
     /** Max allowed |D - ref| / (1 + |ref|) for functional kernels. */
     double verify_tolerance = 0.05;

@@ -1,9 +1,5 @@
 #include "driver/taskgraph.h"
 
-#include <map>
-#include <set>
-
-#include "common/logging.h"
 #include "driver/scenario.h"
 #include "sim/graph/task_graph.h"
 
@@ -78,38 +74,8 @@ compile_taskgraph(Scenario* sc, const std::string& file)
                         "declare \"reads\" and/or \"writes\"");
     }
 
-    // Explicit record/wait keys: record_event names the task's
-    // compiled event; wait_event is an *audited annotation* — the
-    // compiler derives the real dependencies and reports declared
-    // edges no hazard backs as false serialization.
-    std::map<std::string, int> explicit_record;
-    for (size_t i = 0; i < sc->kernels.size(); ++i) {
-        const KernelSpec& k = sc->kernels[i];
-        if (k.record_event.empty())
-            continue;
-        if (!explicit_record.emplace(k.record_event, static_cast<int>(i))
-                 .second)
-            fail_at(file, k.line, k.col,
-                    "duplicate record_event \"" + k.record_event + "\"");
-    }
-    for (size_t i = 0; i < sc->kernels.size(); ++i) {
-        const KernelSpec& k = sc->kernels[i];
-        for (const std::string& e : k.wait_events) {
-            auto it = explicit_record.find(e);
-            if (it == explicit_record.end() ||
-                it->second >= static_cast<int>(i))
-                fail_at(file, k.line, k.col,
-                        "kernel \"" + k.name + "\" waits on \"" + e +
-                            "\", which no earlier kernel records "
-                            "(declarative wait_event only annotates an "
-                            "edge for audit)");
-            g.declare_edge(it->second, static_cast<int>(i));
-        }
-    }
-
-    TaskGraph::Compiled plan;
     try {
-        plan = g.compile();
+        sc->plan = g.compile();
     } catch (const TaskGraphError& e) {
         int line = 0, col = 0;
         if (e.task() >= 0 &&
@@ -123,83 +89,24 @@ compile_taskgraph(Scenario* sc, const std::string& file)
         }
         fail_at(file, line, col, e.what());
     }
-
-    // Final event names.  An explicit record_event wins (and is always
-    // recorded, so event.<name>.cycle metrics work without a
-    // consumer); a derived "<task>_done" that collides with some other
-    // task's explicit name falls back to "tg:<task>".
-    const size_t n = sc->kernels.size();
-    std::set<std::string> taken;
-    for (const auto& [name, task] : explicit_record)
-        taken.insert(name);
-    std::vector<std::string> final_name(n);
-    std::map<std::string, std::string> rename;
-    for (size_t t = 0; t < n; ++t) {
-        const std::string& exp = sc->kernels[t].record_event;
-        if (!exp.empty()) {
-            final_name[t] = exp;
-        } else if (!plan.record_event[t].empty()) {
-            std::string name = plan.record_event[t];
-            while (taken.count(name))
-                name = "tg:" + name;
-            final_name[t] = name;
-            taken.insert(name);
-        }
-        if (!plan.record_event[t].empty())
-            rename[plan.record_event[t]] = final_name[t];
-    }
-
-    // Lower the plan onto the KernelSpec launch fields: from here the
-    // runner and engine see plain streams and events.
-    for (size_t t = 0; t < n; ++t) {
-        KernelSpec& k = sc->kernels[t];
-        k.stream = plan.stream_of[t];
-        k.record_event = final_name[t];
-        k.wait_events.clear();
-        for (const std::string& w : plan.wait_events[t])
-            k.wait_events.push_back(rename.at(w));
-    }
-
-    // DAG for --dump-dag and the false-serialization report.
-    sc->dag = TaskGraphDag{};
-    sc->dag.compiled = true;
-    sc->dag.num_streams = plan.num_streams;
-    sc->dag.tensors = sc->tensors;
-    for (size_t i = 0; i < sc->dag.tensors.size(); ++i)
-        sc->dag.tensors[i].address = g.tensor_address(static_cast<int>(i));
-    for (const TaskGraph::Edge& e : plan.edges) {
-        DagEdge d;
-        d.from = sc->kernels[static_cast<size_t>(e.from)].name;
-        d.to = sc->kernels[static_cast<size_t>(e.to)].name;
-        d.kind = hazard_kind_name(e.kind);
-        d.tensor = g.tensor_name(e.tensor);
-        d.cross_stream = e.cross_stream;
-        if (e.needs_event)
-            d.event = final_name[static_cast<size_t>(e.from)];
-        sc->dag.edges.push_back(std::move(d));
-    }
-    for (const TaskGraph::FalseEdge& fe : plan.false_serialization) {
-        const std::string& from =
-            sc->kernels[static_cast<size_t>(fe.from)].name;
-        const std::string& to = sc->kernels[static_cast<size_t>(fe.to)].name;
-        warn("%s: declared edge \"%s\" -> \"%s\" is false serialization: "
-             "no data hazard requires it",
-             file.empty() ? sc->name.c_str() : file.c_str(), from.c_str(),
-             to.c_str());
-        sc->dag.false_serialization.emplace_back(from, to);
-    }
+    for (size_t i = 0; i < sc->tensors.size(); ++i)
+        sc->tensors[i].address = g.tensor_address(static_cast<int>(i));
 }
 
 JsonValue
-dag_to_json(const Scenario& sc, const TaskGraphDag& dag)
+dag_to_json(const Scenario& sc)
 {
+    const TaskGraph::Compiled& plan = sc.plan;
     JsonValue doc = JsonValue::object();
     doc.set("scenario", sc.name);
-    doc.set("declarative", dag.compiled);
-    doc.set("num_streams", dag.num_streams);
+    doc.set("declarative", sc.declarative);
+    // A plain scenario is one queue on the default stream (none when a
+    // serving scenario declares no kernels).
+    int streams = sc.kernels.empty() ? 0 : 1;
+    doc.set("num_streams", sc.declarative ? plan.num_streams : streams);
 
     JsonValue tensors = JsonValue::array();
-    for (const TensorSpec& t : dag.tensors) {
+    for (const TensorSpec& t : sc.tensors) {
         JsonValue o = JsonValue::object();
         o.set("name", t.name);
         o.set("bytes", t.bytes);
@@ -213,10 +120,11 @@ dag_to_json(const Scenario& sc, const TaskGraphDag& dag)
     doc.set("tensors", std::move(tensors));
 
     JsonValue tasks = JsonValue::array();
-    for (const KernelSpec& k : sc.kernels) {
+    for (size_t i = 0; i < sc.kernels.size(); ++i) {
+        const KernelSpec& k = sc.kernels[i];
         JsonValue o = JsonValue::object();
         o.set("name", k.name);
-        o.set("stream", k.stream);
+        o.set("stream", sc.stream_of(i));
         JsonValue reads = JsonValue::array();
         for (const std::string& r : k.reads)
             reads.push_back(r);
@@ -225,69 +133,59 @@ dag_to_json(const Scenario& sc, const TaskGraphDag& dag)
         for (const std::string& w : k.writes)
             writes.push_back(w);
         o.set("writes", std::move(writes));
-        if (!k.record_event.empty())
-            o.set("record_event", k.record_event);
         JsonValue waits = JsonValue::array();
-        for (const std::string& w : k.wait_events)
-            waits.push_back(w);
+        if (sc.declarative) {
+            if (!plan.record_event[i].empty())
+                o.set("record_event", plan.record_event[i]);
+            for (const std::string& w : plan.wait_events[i])
+                waits.push_back(w);
+        }
         o.set("wait_events", std::move(waits));
         tasks.push_back(std::move(o));
     }
     doc.set("tasks", std::move(tasks));
 
     JsonValue edges = JsonValue::array();
-    for (const DagEdge& e : dag.edges) {
+    for (const TaskGraph::Edge& e : plan.edges) {
         JsonValue o = JsonValue::object();
-        o.set("from", e.from);
-        o.set("to", e.to);
-        o.set("kind", e.kind);
-        if (!e.tensor.empty())
-            o.set("tensor", e.tensor);
+        o.set("from", sc.kernels[static_cast<size_t>(e.from)].name);
+        o.set("to", sc.kernels[static_cast<size_t>(e.to)].name);
+        o.set("kind", hazard_kind_name(e.kind));
+        o.set("tensor", sc.tensors[static_cast<size_t>(e.tensor)].name);
         o.set("cross_stream", e.cross_stream);
-        if (!e.event.empty())
-            o.set("event", e.event);
+        if (e.needs_event)
+            o.set("event", plan.record_event[static_cast<size_t>(e.from)]);
         edges.push_back(std::move(o));
     }
     doc.set("edges", std::move(edges));
-
-    JsonValue false_ser = JsonValue::array();
-    for (const auto& [from, to] : dag.false_serialization) {
-        JsonValue o = JsonValue::object();
-        o.set("from", from);
-        o.set("to", to);
-        false_ser.push_back(std::move(o));
-    }
-    doc.set("false_serialization", std::move(false_ser));
     return doc;
 }
 
 std::string
-dag_to_dot(const Scenario& sc, const TaskGraphDag& dag)
+dag_to_dot(const Scenario& sc)
 {
     auto q = [](const std::string& s) { return "\"" + json_escape(s) + "\""; };
     std::string out;
     out += "digraph " + q(sc.name) + " {\n";
     out += "  rankdir=LR;\n";
     out += "  node [shape=box, fontname=\"monospace\"];\n";
-    for (const KernelSpec& k : sc.kernels) {
-        out += "  " + q(k.name) + " [label=" +
-               q(k.name + "\\ns" + std::to_string(k.stream)) + "];\n";
+    for (size_t i = 0; i < sc.kernels.size(); ++i) {
+        const std::string& name = sc.kernels[i].name;
+        out += "  " + q(name) + " [label=" +
+               q(name + "\\ns" + std::to_string(sc.stream_of(i))) + "];\n";
     }
-    for (const DagEdge& e : dag.edges) {
-        std::string label = e.kind;
-        if (!e.tensor.empty())
-            label += " " + e.tensor;
-        if (!e.event.empty())
-            label += "\\n" + e.event;
-        std::string style =
-            e.event.empty() ? "dashed" : "solid";  // implied vs event-carried
-        out += "  " + q(e.from) + " -> " + q(e.to) + " [label=" + q(label) +
-               ", style=" + style + "];\n";
-    }
-    for (const auto& [from, to] : dag.false_serialization) {
-        out += "  " + q(from) + " -> " + q(to) +
-               " [label=\"false serialization\", style=dotted, "
-               "color=red, constraint=false];\n";
+    for (const TaskGraph::Edge& e : sc.plan.edges) {
+        const size_t from = static_cast<size_t>(e.from);
+        std::string label = std::string(hazard_kind_name(e.kind)) + " " +
+                            sc.tensors[static_cast<size_t>(e.tensor)].name;
+        if (e.needs_event)
+            label += "\\n" + sc.plan.record_event[from];
+        // Solid edges carry an event; dashed ones are implied by stream
+        // order or transitivity.
+        std::string style = e.needs_event ? "solid" : "dashed";
+        out += "  " + q(sc.kernels[from].name) + " -> " +
+               q(sc.kernels[static_cast<size_t>(e.to)].name) +
+               " [label=" + q(label) + ", style=" + style + "];\n";
     }
     out += "}\n";
     return out;

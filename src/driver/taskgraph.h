@@ -1,21 +1,20 @@
 #pragma once
 /**
  * @file
- * Scenario-level task-graph frontend: parses the declarative tensor
- * arena ("tensors" plus per-kernel "reads"/"writes"), feeds it to the
- * core compiler (sim/graph/task_graph.h), and lowers the compiled
- * plan onto the KernelSpec launch fields — stream, record_event,
- * wait_events — so ScenarioRunner and the engine run it as plain
- * streams and events.
+ * Scenario-level task-graph frontend: feeds the declarative tensor
+ * arena ("tensors" plus per-kernel "reads"/"writes") to the core
+ * compiler (sim/graph/task_graph.h) and keeps the compiled plan on the
+ * Scenario.  The runner enqueues that plan through Gpu::launch_graph;
+ * every event is the derived "<task>_done" of its producer.
  *
- * Also home of the DAG dump (simrunner --dump-dag): a JSON document
- * that round-trips through the driver JSON parser plus a Graphviz DOT
- * rendering.  A plain scenario dumps an edgeless one-stream DAG.
+ * Also home of the DAG dump (simrunner --dump-dag), rendered from the
+ * plan plus kernel names: a JSON document that round-trips through
+ * the driver JSON parser, and a Graphviz DOT rendering.  A plain
+ * scenario dumps an edgeless one-stream DAG.
  */
 
 #include <cstdint>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "driver/json.h"
@@ -39,51 +38,23 @@ struct TensorSpec
     int line = 0, col = 0;  ///< Source position for diagnostics.
 };
 
-/** One dependency edge of the dumped DAG. */
-struct DagEdge
-{
-    std::string from, to;  ///< Kernel names.
-    std::string kind;    ///< "raw" | "war" | "waw".
-    std::string tensor;  ///< Hazard tensor.
-    bool cross_stream = false;
-    /** Event carrying the edge; "" = implied by stream order or
-     *  transitivity. */
-    std::string event;
-};
-
-/** The dependency DAG of a scenario, dump-ready. */
-struct TaskGraphDag
-{
-    /** True when this is a compiled declarative plan (false = a plain
-     *  scenario: one stream, no edges). */
-    bool compiled = false;
-    int num_streams = 0;
-    std::vector<DagEdge> edges;
-    /** Declared edges the hazard analysis proved unnecessary. */
-    std::vector<std::pair<std::string, std::string>> false_serialization;
-    /** The tensor arena with resolved addresses (empty when plain). */
-    std::vector<TensorSpec> tensors;
-};
-
 /**
  * Compile the declarative form of @p sc: build the tensor arena,
  * derive hazards, reject multi-writer ambiguity and undeclared
- * aliasing (ScenarioError with source line:col), assign streams, and
- * write the derived stream/record_event/wait_events back into
- * sc->kernels.  Explicit record_event names are honoured (the task's
- * compiled event takes that name and is always recorded, so
- * event.<name>.cycle metrics keep working); explicit wait_event
- * entries are audit annotations — edges the hazard DAG does not back
- * are reported as false serialization (warn + sc->dag), never obeyed.
- * Fills sc->dag.  Called by parse_scenario; @p file for diagnostics.
+ * aliasing (ScenarioError with source line:col), assign streams and
+ * place events.  Stores the plan in sc->plan (the runner hands it to
+ * Gpu::launch_graph) and each tensor's resolved arena address in
+ * sc->tensors[i].address.  Called by parse_scenario; @p file for
+ * diagnostics.
  */
 void compile_taskgraph(Scenario* sc, const std::string& file);
 
-/** Dump @p dag as a JSON document (parses back with json_parse). */
-JsonValue dag_to_json(const Scenario& sc, const TaskGraphDag& dag);
+/** Dump the dependency DAG of @p sc as a JSON document (parses back
+ *  with json_parse). */
+JsonValue dag_to_json(const Scenario& sc);
 
-/** Dump @p dag as a Graphviz digraph. */
-std::string dag_to_dot(const Scenario& sc, const TaskGraphDag& dag);
+/** Dump the dependency DAG of @p sc as a Graphviz digraph. */
+std::string dag_to_dot(const Scenario& sc);
 
 }  // namespace driver
 }  // namespace tcsim

@@ -1,10 +1,10 @@
 #pragma once
 /**
  * @file
- * Verbatim measurements published in the paper, used as hardware
- * ground truth by the benchmark harness (we have no physical Titan V;
- * see DESIGN.md section 4).  Cumulative HMMA cycle tables live in
- * sass/hmma_timing.h; this file holds the remaining figures.
+ * Verbatim measurements published in the paper (PAPER.md), used as
+ * hardware ground truth by the benchmark harness because no physical
+ * Titan V is available to measure.  Cumulative HMMA cycle tables live
+ * in sass/hmma_timing.h; this file holds the remaining figures.
  */
 
 #include <vector>

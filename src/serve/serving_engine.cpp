@@ -169,9 +169,9 @@ void
 ServingLoop::launch_wavefront(std::vector<int> reqs, uint64_t now)
 {
     const int wid = next_wavefront_++;
-    const std::string prefix = "b" + std::to_string(wid) + ".";
     model::LoweredModel lowered =
-        model::lower_model(graph_, static_cast<int>(reqs.size()), prefix);
+        model::lower_model(graph_, static_cast<int>(reqs.size()),
+                           "b" + std::to_string(wid) + ".");
     total_flops_ += lowered.total_flops;
 
     TaskGraph g;
@@ -185,39 +185,29 @@ ServingLoop::launch_wavefront(std::vector<int> reqs, uint64_t now)
         for (const std::string& w : lk.writes)
             g.task_writes(t, tensor_ids.at(w));
     }
-    TaskGraph::Compiled plan = g.compile();
-
-    std::vector<Stream*> streams;
-    streams.reserve(static_cast<size_t>(plan.num_streams));
-    for (int s = 0; s < plan.num_streams; ++s)
-        streams.push_back(&gpu_.create_stream());
+    std::vector<KernelDesc> descs;
+    descs.reserve(lowered.kernels.size());
+    for (const model::LoweredKernel& lk : lowered.kernels)
+        descs.push_back(make_desc(lk));
 
     std::vector<bool> layer_last(lowered.kernels.size(), false);
     for (int idx : lowered.last_kernel_of_layer)
         layer_last[static_cast<size_t>(idx)] = true;
-    const int final_idx = lowered.last_kernel_of_layer.back();
+    const size_t final_idx =
+        static_cast<size_t>(lowered.last_kernel_of_layer.back());
 
-    // The launch_graph enqueue pattern, plus decision-point callbacks:
-    // after each layer's last kernel the continuous batcher may join
-    // new work, and after the final kernel the wavefront completes.
-    std::map<std::string, Event*> events;
-    for (size_t t = 0; t < lowered.kernels.size(); ++t) {
-        Stream& s = *streams[static_cast<size_t>(plan.stream_of[t] - 1)];
-        for (const std::string& w : plan.wait_events[t])
-            s.wait(*events.at(w));
-        s.enqueue(make_desc(lowered.kernels[t]));
-        if (!plan.record_event[t].empty()) {
-            Event& ev = gpu_.create_event(prefix + plan.record_event[t]);
-            events[plan.record_event[t]] = &ev;
-            s.record(ev);
-        }
-        if (static_cast<int>(t) == final_idx)
-            s.add_callback([this, wid](uint64_t cycle) {
-                on_wavefront_done(wid, cycle);
-            });
-        else if (layer_last[t])
-            s.add_callback([this](uint64_t cycle) { try_admit(cycle); });
-    }
+    // Decision points: after each layer's last kernel the continuous
+    // batcher may join new work, and after the final kernel the
+    // wavefront completes.
+    std::vector<Stream*> streams = gpu_.launch_graph(
+        g.compile(), std::move(descs), [&](size_t t, Stream& s) {
+            if (t == final_idx)
+                s.add_callback([this, wid](uint64_t cycle) {
+                    on_wavefront_done(wid, cycle);
+                });
+            else if (layer_last[t])
+                s.add_callback([this](uint64_t cycle) { try_admit(cycle); });
+        });
 
     for (int ridx : reqs) {
         RequestRecord& r = records_[static_cast<size_t>(ridx)];

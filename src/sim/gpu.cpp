@@ -265,15 +265,16 @@ Gpu::restore(const Snapshot& snap)
         throw SnapshotError("trailing bytes after the end tag");
 }
 
-TaskGraph::Compiled
-Gpu::launch_graph(const TaskGraph& graph,
-                  const std::vector<KernelDesc>& kernels)
+std::vector<Stream*>
+Gpu::launch_graph(const TaskGraph::Compiled& plan,
+                  std::vector<KernelDesc> kernels,
+                  const std::function<void(size_t, Stream&)>& after_task)
 {
-    if (kernels.size() != graph.num_tasks())
+    if (kernels.size() != plan.stream_of.size())
         throw std::invalid_argument(
             "launch_graph: " + std::to_string(kernels.size()) +
-            " kernels for " + std::to_string(graph.num_tasks()) + " tasks");
-    TaskGraph::Compiled plan = graph.compile();
+            " kernels for " + std::to_string(plan.stream_of.size()) +
+            " tasks");
 
     std::vector<Stream*> streams;
     streams.reserve(static_cast<size_t>(plan.num_streams));
@@ -288,14 +289,16 @@ Gpu::launch_graph(const TaskGraph& graph,
         Stream& s = *streams[static_cast<size_t>(plan.stream_of[t] - 1)];
         for (const std::string& w : plan.wait_events[t])
             s.wait(*events.at(w));
-        s.enqueue(kernels[t]);
+        s.enqueue(std::move(kernels[t]));
         if (!plan.record_event[t].empty()) {
             Event& ev = create_event(plan.record_event[t]);
             events[plan.record_event[t]] = &ev;
             s.record(ev);
         }
+        if (after_task)
+            after_task(t, s);
     }
-    return plan;
+    return streams;
 }
 
 LaunchStats

@@ -13,6 +13,8 @@
  *    allows; memory timing persists across launches within the run.
  *  - Events: create_event() + Stream::record()/wait() build dependency
  *    DAGs across streams; Event::elapsed_cycles() times sub-windows.
+ *  - Task graphs: launch_graph() enqueues a TaskGraph::Compiled plan —
+ *    the one path from a plan to streams, waits, launches and records.
  *  - Incremental runs: run_until(cycle) pauses a run at a cycle bound,
  *    synchronize(stream|event) drains one stream or waits for one
  *    event; both return an O(1) RunProgress, and stats() builds the
@@ -23,6 +25,7 @@
  *    original lock-step simulator.
  */
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -155,17 +158,19 @@ class Gpu
     }
 
     /**
-     * Compile @p graph and enqueue one kernel per task: fresh streams
-     * are created for the compiled stream set, events are created and
-     * recorded/waited exactly as the plan dictates, and kernels are
-     * enqueued in declaration order (kernels[t] is task t's launch).
-     * Nothing runs yet — follow with run()/run_until() as usual.
-     * Returns the compiled plan for inspection.  Throws TaskGraphError
-     * on rejected graphs, std::invalid_argument on a kernel-count
-     * mismatch.
+     * Enqueue compiled @p plan, one kernel per task (kernels[t] is
+     * task t's launch): fresh streams are created for the plan's
+     * stream set, and in declaration order each task's stream waits on
+     * its events, launches the kernel, records the task's event (named
+     * as in the plan) and then calls @p after_task(t, stream), where a
+     * caller may plant callbacks.  Nothing runs yet — follow with
+     * run()/run_until() as usual.  Returns the created streams (task t
+     * runs on element plan.stream_of[t] - 1).  Throws
+     * std::invalid_argument on a kernel-count mismatch.
      */
-    TaskGraph::Compiled launch_graph(const TaskGraph& graph,
-                                     const std::vector<KernelDesc>& kernels);
+    std::vector<Stream*> launch_graph(
+        const TaskGraph::Compiled& plan, std::vector<KernelDesc> kernels,
+        const std::function<void(size_t, Stream&)>& after_task = {});
 
     /** Run @p kernel alone to completion and return its statistics.
      *  Compatibility wrapper: cold caches, isolated timing — does not

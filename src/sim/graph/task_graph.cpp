@@ -174,14 +174,6 @@ TaskGraph::task_writes(int task, int tensor)
         w.push_back(tensor);
 }
 
-void
-TaskGraph::declare_edge(int from, int to)
-{
-    check_task(from, "declare_edge");
-    check_task(to, "declare_edge");
-    declared_edges_.push_back(FalseEdge{from, to});
-}
-
 bool
 TaskGraph::view_related(int a, int b) const
 {
@@ -393,15 +385,6 @@ TaskGraph::compile() const
             if (std::find(unique.begin(), unique.end(), w) == unique.end())
                 unique.push_back(std::move(w));
         waits = std::move(unique);
-    }
-
-    // Audit declared edges: report the ones no hazard path backs.
-    for (const FalseEdge& d : declared_edges_) {
-        bool backed =
-            d.from != d.to &&
-            anc.has(static_cast<size_t>(d.to), static_cast<size_t>(d.from));
-        if (!backed)
-            out.false_serialization.push_back(d);
     }
     return out;
 }

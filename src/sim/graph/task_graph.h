@@ -35,14 +35,11 @@
  * and appended to the first stream whose most recent task is an
  * ancestor — stream FIFO order then adds no serialization the DAG did
  * not already imply — else a new stream opens.  Cross-stream edges not
- * implied transitively get one event each, recorded after the
- * producer; same-stream edges ride stream order for free.  compile()
- * never emits a same-stream wait.
- *
- * Declared edges (the legacy record/wait plumbing, kept for audit)
- * are checked against the hazard DAG: an edge with no hazard path
- * from producer to consumer is *false serialization* — ordering the
- * data flow does not require — and is reported, not silently obeyed.
+ * implied transitively get one event each, named "<task>_done" and
+ * recorded after the producer; same-stream edges ride stream order for
+ * free.  compile() never emits a same-stream wait.  Gpu::launch_graph
+ * is the one place a Compiled plan becomes streams, waits, launches
+ * and records.
  */
 
 #include <cstdint>
@@ -98,14 +95,6 @@ class TaskGraph
         bool needs_event = false;  ///< Not implied by order/transitivity.
     };
 
-    /** A declared (audit-only) edge the hazard analysis proved
-     *  unnecessary: no data flows from @p from to @p to. */
-    struct FalseEdge
-    {
-        int from = 0;
-        int to = 0;
-    };
-
     /** compile() output: everything needed to enqueue the graph. */
     struct Compiled
     {
@@ -120,8 +109,6 @@ class TaskGraph
          *  events its launch waits on (producers on other streams). */
         std::vector<std::string> record_event;
         std::vector<std::vector<std::string>> wait_events;
-        /** Declared edges the hazard DAG does not require. */
-        std::vector<FalseEdge> false_serialization;
     };
 
     // ---- Tensor arena ---------------------------------------------------
@@ -169,11 +156,6 @@ class TaskGraph
     void task_reads(int task, int tensor);
     void task_writes(int task, int tensor);
 
-    /** Declare an explicit ordering edge (legacy record/wait kept for
-     *  audit).  compile() honours nothing here — it only reports the
-     *  edge as false serialization when no hazard path backs it. */
-    void declare_edge(int from, int to);
-
     size_t num_tasks() const { return tasks_.size(); }
     const std::string& task_name(int t) const
     {
@@ -216,7 +198,6 @@ class TaskGraph
 
     std::vector<Tensor> tensors_;
     std::vector<Task> tasks_;
-    std::vector<FalseEdge> declared_edges_;
     uint64_t arena_next_ = 0;  ///< Bump pointer for declare_tensor.
 };
 

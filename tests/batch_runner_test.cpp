@@ -65,17 +65,17 @@ make_suite()
         {"kernel": "wmma_naive", "name": "g", "m": 64, "n": 64, "k": 64}
       ]
     })");
-    // Event-DAG scenarios: a named event on a chain, and a fork-join
-    // the compiler lowers to cross-stream record/wait pairs, must stay
-    // bit-identical between serial and parallel batch execution too.
+    // Task-graph scenarios: a chain the compiler keeps on one stream,
+    // and a fork-join it lowers to cross-stream record/wait pairs, must
+    // stay bit-identical between serial and parallel batch execution
+    // too.
     add(R"({
       "name": "event_chain",
       "gpu": {"preset": "titan_v", "num_sms": 2},
       "tensors": [{"name": "T", "bytes": 256}, {"name": "U", "bytes": 256}],
       "kernels": [
         {"kernel": "hmma_stress", "name": "p", "ctas": 2,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["T"],
-         "record_event": "e"},
+         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["T"]},
         {"kernel": "hmma_stress", "name": "c", "ctas": 2,
          "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["T"],
          "writes": ["U"]}

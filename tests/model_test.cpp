@@ -273,7 +273,7 @@ TEST(ModelScenario, LowersToDeclarativeForm)
     // in + per-layer weight and activation.
     ASSERT_EQ(sc.tensors.size(), 5u);
     // The task-graph compiler derived the chain: fc1 waits on fc0.
-    EXPECT_FALSE(sc.dag.edges.empty());
+    EXPECT_FALSE(sc.plan.edges.empty());
 
     driver::ScenarioResult r = driver::run_scenario(sc);
     EXPECT_TRUE(r.passed) << r.error;

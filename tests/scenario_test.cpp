@@ -116,7 +116,7 @@ TEST(Scenario, ParsesMinimal)
     EXPECT_EQ(sc.name, "tiny");
     EXPECT_EQ(sc.kernels.size(), 1u);
     EXPECT_EQ(sc.kernels[0].family, "wmma_naive");
-    EXPECT_EQ(sc.kernels[0].stream, 0);
+    EXPECT_EQ(sc.stream_of(0), 0);
     EXPECT_FALSE(sc.kernels[0].functional);
     EXPECT_EQ(sc.gpu_config().num_sms, 1);
     EXPECT_EQ(sc.sim.scheduler, SchedulerPolicy::kGto);
@@ -488,8 +488,8 @@ TEST(Scenario, RejectsRemovedDependencyKeys)
 {
     // Dependencies are stated one way (a tensor arena plus read/write
     // sets).  Hand-written plumbing is a typed error naming the key
-    // and the declarative alternative: "stream" and "sync" everywhere,
-    // "record_event"/"wait_event" outside the declarative form.
+    // and the declarative alternative, in the plain and the
+    // declarative form alike.
     auto expect_rejected = [](const std::string& text,
                               const std::string& key) {
         try {
@@ -513,26 +513,13 @@ TEST(Scenario, RejectsRemovedDependencyKeys)
                              {"kernel": "hmma_stress", ")" +
                             key + "\": " + value + "}]}",
                         key);
-    for (const auto& [key, value] : {plain[0], plain[1]})
+    for (const auto& [key, value] : plain)
         expect_rejected(R"({"name": "s",
                             "tensors": [{"name": "T", "bytes": 64}],
                             "kernels": [{"kernel": "hmma_stress",
                                          "writes": ["T"], ")" +
                             key + "\": " + value + "}]}",
                         key);
-}
-
-TEST(Scenario, RejectsWaitOnEventNobodyRecords)
-{
-    EXPECT_THROW(parse_scenario_text(R"({
-      "name": "s",
-      "tensors": [{"name": "T", "bytes": 64}],
-      "kernels": [
-        {"kernel": "hmma_stress", "name": "k", "writes": ["T"],
-         "wait_event": "ghost"}
-      ]
-    })"),
-                 ScenarioError);
 }
 
 TEST(Scenario, RejectsBadEventMetrics)
@@ -547,39 +534,46 @@ TEST(Scenario, RejectsBadEventMetrics)
     // Only .cycle exists on events.
     EXPECT_THROW(parse_scenario_text(R"({
       "name": "s",
-      "tensors": [{"name": "T", "bytes": 64}],
+      "tensors": [{"name": "T", "bytes": 64}, {"name": "U", "bytes": 64},
+                  {"name": "V", "bytes": 64}],
       "kernels": [
-        {"kernel": "hmma_stress", "name": "k", "writes": ["T"],
-         "record_event": "e"}
+        {"kernel": "hmma_stress", "name": "x", "writes": ["U"]},
+        {"kernel": "hmma_stress", "name": "p", "writes": ["T"]},
+        {"kernel": "hmma_stress", "name": "c", "reads": ["T", "U"],
+         "writes": ["V"]}
       ],
-      "expect": [{"metric": "event.e.latency", "min": 1}]
+      "expect": [{"metric": "event.p_done.latency", "min": 1}]
     })"),
                  ScenarioError);
 }
 
 TEST(ScenarioRun, EventDagGatesAndExposesEventMetrics)
 {
+    // x opens stream 1 and p stream 2; c follows x on stream 1 and
+    // waits on p's derived event.
     Scenario sc = parse_scenario_text(R"({
       "name": "dag_run",
       "gpu": {"preset": "titan_v", "num_sms": 2},
-      "tensors": [{"name": "T", "bytes": 64}, {"name": "U", "bytes": 64}],
+      "tensors": [{"name": "T", "bytes": 64}, {"name": "U", "bytes": 64},
+                  {"name": "V", "bytes": 64}],
       "kernels": [
+        {"kernel": "hmma_stress", "name": "x", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["U"]},
         {"kernel": "hmma_stress", "name": "p", "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["T"],
-         "record_event": "e"},
+         "warps_per_cta": 2, "wmma_per_warp": 16, "writes": ["T"]},
         {"kernel": "hmma_stress", "name": "c", "ctas": 1,
-         "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["T"],
-         "writes": ["U"]}
+         "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["T", "U"],
+         "writes": ["V"]}
       ],
       "expect": [
-        {"metric": "event.e.cycle", "min": 1},
+        {"metric": "event.p_done.cycle", "min": 1},
         {"metric": "kernel.c.start_cycle", "min": 1}
       ]
     })");
     ScenarioResult r = run_scenario(sc);
     EXPECT_TRUE(r.passed) << r.error;
     ASSERT_EQ(r.events.size(), 1u);
-    EXPECT_EQ(r.events[0].name, "e");
+    EXPECT_EQ(r.events[0].name, "p_done");
     // Happens-before: the consumer starts only after the event.
     const LaunchStats* producer = nullptr;
     const LaunchStats* consumer = nullptr;
@@ -614,7 +608,7 @@ TEST(ScenarioRun, JoinWaitsForEveryProducer)
          "writes": ["J"]}
       ]
     })");
-    ASSERT_NE(sc.kernels[0].stream, sc.kernels[1].stream);
+    ASSERT_NE(sc.stream_of(0), sc.stream_of(1));
     ScenarioResult r = run_scenario(sc);
     EXPECT_TRUE(r.passed) << r.error;
     uint64_t join_start = 0, max_finish = 0;
@@ -725,18 +719,21 @@ TEST(ScenarioRun, PerReasonStallMetricsResolve)
 
 namespace {
 
-/** A kernel scenario: a functional GEMM "f" that records event "e",
- *  then a timing-only "g"; @p extra adds top-level keys. */
+/** A kernel scenario: a functional GEMM "f" and a timing-only "g" on
+ *  two streams, joined by "h", which waits on g's event "g_done";
+ *  @p extra adds top-level keys. */
 std::string
 kernel_doc(const std::string& expect, const std::string& extra = "")
 {
     return R"({"name": "k", "gpu": {"preset": "titan_v", "num_sms": 2},
-      "tensors": [{"name": "T", "bytes": 64}],
+      "tensors": [{"name": "T", "bytes": 64}, {"name": "U", "bytes": 64}],
       "kernels": [
         {"kernel": "wmma_shared", "name": "f", "m": 64, "n": 64, "k": 64,
-         "functional": true, "writes": ["T"], "record_event": "e"},
+         "functional": true, "writes": ["T"]},
         {"kernel": "wmma_naive", "name": "g", "m": 32, "n": 32, "k": 32,
-         "reads": ["T"]}],)" +
+         "writes": ["U"]},
+        {"kernel": "hmma_stress", "name": "h", "ctas": 1,
+         "warps_per_cta": 2, "wmma_per_warp": 16, "reads": ["T", "U"]}],)" +
            extra + R"("expect": [)" + expect + "]}";
 }
 
@@ -814,8 +811,8 @@ TEST(Scenario, RejectsBadMetricPathsAtParseTime)
          "unknown kernel field \"ipcc\""},
         {kernel_doc(on("mem.no_such_counter")), "expect[0]",
          "mem.no_such_counter", "unknown mem field \"no_such_counter\""},
-        {kernel_doc(on("event.e.latency")), "expect[0]", "event.e.latency",
-         "unknown event field \"latency\""},
+        {kernel_doc(on("event.g_done.latency")), "expect[0]",
+         "event.g_done.latency", "unknown event field \"latency\""},
         {kernel_doc(on("verify.max_err")), "expect[0]", "verify.max_err",
          "unknown verify field \"max_err\""},
         {serving_doc(on("serve.latency_max_cycles")), "expect[0]",
@@ -987,7 +984,8 @@ TEST(ScenarioRun, MetricTableMatchesReport)
         runs = {
             {kernel_doc(on("total.cycles")),
              {"kernel.f.verify_rel_err", "verify.max_rel_err",
-              "event.e.cycle", "kernel.g.stall.scoreboard", "mem.l1_hits"}},
+              "event.g_done.cycle", "kernel.g.stall.scoreboard",
+              "mem.l1_hits"}},
             {serving_doc(on("serve.latency_p99.5"), R"({"deadline_us": 5})"),
              {"serve.latency_p12.25", "serve.goodput", "serve.queue_depth_peak",
               "total.stall.tc_busy"}},

@@ -10,15 +10,19 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <numeric>
 
 #include "arch/gpu_config.h"
+#include "kernels/gemm_kernels.h"
 #include "kernels/kernel_registry.h"
+#include "model/model_graph.h"
 #include "serve/batching.h"
 #include "serve/latency_stats.h"
 #include "serve/request_trace.h"
 #include "serve/serving_engine.h"
 #include "sim/gpu.h"
+#include "sim/graph/task_graph.h"
 
 using namespace tcsim;
 using namespace tcsim::serve;
@@ -464,6 +468,72 @@ TEST(Serving, ContinuousAdmitsAtFinalLayerBoundary)
 }
 
 // --- Resilience: deadlines, shedding, retries ------------------------
+
+TEST(Serving, WavefrontEventsCarryTheBatchPrefixOnce)
+{
+    // launch_wavefront lowers each batch under a "b<wid>." prefix and
+    // enqueues the compiled plan through Gpu::launch_graph, which names
+    // each event after its producer task alone: "b0.<task>_done".
+    // Every layer kind lowers to a chain (one stream, no events), as
+    // the attention model below shows, so a hand-built fork-join with
+    // batch-prefixed task names stands in for a cross-stream lowering.
+    model::ModelGraph attn;
+    attn.name = "attn";
+    attn.tokens_per_request = 16;
+    attn.input_features = 64;
+    model::LayerSpec l;
+    l.kind = model::LayerKind::kAttention;
+    l.embed_dim = 64;
+    l.heads = 2;
+    attn.layers.push_back(l);
+    const model::LoweredModel lm = model::lower_model(attn, 2, "b0.");
+    TaskGraph chain;
+    std::map<std::string, int> ids;
+    for (const model::LoweredTensor& t : lm.tensors)
+        ids[t.name] = chain.declare_tensor(t.name, t.bytes);
+    for (const model::LoweredKernel& k : lm.kernels) {
+        const int t = chain.add_task(k.name);
+        for (const std::string& r : k.reads)
+            chain.task_reads(t, ids.at(r));
+        for (const std::string& w : k.writes)
+            chain.task_writes(t, ids.at(w));
+    }
+    const TaskGraph::Compiled chain_plan = chain.compile();
+    EXPECT_EQ(chain_plan.num_streams, 1);
+    for (const std::string& e : chain_plan.record_event)
+        EXPECT_TRUE(e.empty()) << e;
+
+    TaskGraph fork;
+    const int x = fork.declare_tensor("b0.x", 256);
+    const int a = fork.declare_tensor("b0.a", 256);
+    const int b = fork.declare_tensor("b0.b", 256);
+    const int out = fork.declare_tensor("b0.out", 256);
+    const int root = fork.add_task("b0.root");
+    fork.task_writes(root, x);
+    const int left = fork.add_task("b0.left");
+    fork.task_reads(left, x);
+    fork.task_writes(left, a);
+    const int right = fork.add_task("b0.right");
+    fork.task_reads(right, x);
+    fork.task_writes(right, b);
+    const int join = fork.add_task("b0.join");
+    fork.task_reads(join, a);
+    fork.task_reads(join, b);
+    fork.task_writes(join, out);
+
+    Gpu gpu(small_gpu(), serial_sim());
+    std::vector<KernelDesc> descs;
+    for (int t = 0; t < 4; ++t)
+        descs.push_back(make_hmma_stress(Arch::kVolta, TcMode::kMixed, 1, 2,
+                                         16, 4));
+    gpu.launch_graph(fork.compile(), std::move(descs));
+    const Event* root_done = gpu.find_event("b0.root_done");
+    ASSERT_NE(root_done, nullptr);
+    EXPECT_NE(gpu.find_event("b0.right_done"), nullptr);
+    EXPECT_EQ(gpu.find_event("b0.b0.root_done"), nullptr);
+    gpu.run();
+    EXPECT_TRUE(root_done->complete());
+}
 
 TEST(ServingResilience, DeadlineMissAccounting)
 {

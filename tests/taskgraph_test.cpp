@@ -300,27 +300,6 @@ TEST(TaskGraph, RejectsTaskTouchingNothing)
     EXPECT_THROW(g.compile(), TaskGraphError);
 }
 
-TEST(TaskGraph, ReportsFalseSerialization)
-{
-    TaskGraph g;
-    int t = g.declare_tensor("T", 1024);
-    int u = g.declare_tensor("U", 1024);
-    int a = g.add_task("a");
-    g.task_writes(a, t);
-    int b = g.add_task("b");
-    g.task_writes(b, u);
-    int c = g.add_task("c");
-    g.task_reads(c, t);
-    g.task_writes(c, t);
-    g.declare_edge(a, b);  // No data flows a -> b.
-    g.declare_edge(a, c);  // Backed by the RAW on T.
-
-    TaskGraph::Compiled plan = g.compile();
-    ASSERT_EQ(plan.false_serialization.size(), 1u);
-    EXPECT_EQ(plan.false_serialization[0].from, a);
-    EXPECT_EQ(plan.false_serialization[0].to, b);
-}
-
 // ---- Gpu::launch_graph --------------------------------------------------
 
 namespace {
@@ -407,7 +386,9 @@ TEST(LaunchGraph, ForkJoinMatchesHandWrittenPlan)
     kernels.push_back(small_gemm(&gpu1, &branch_p, "branch_a"));
     kernels.push_back(small_gemm(&gpu1, &branch_p, "branch_b"));
     kernels.push_back(small_gemm(&gpu1, &head_p, "head"));
-    TaskGraph::Compiled plan = gpu1.launch_graph(g, kernels);
+    TaskGraph::Compiled plan = g.compile();
+    std::vector<Stream*> streams =
+        gpu1.launch_graph(plan, std::move(kernels));
     EngineStats derived = gpu1.run();
 
     // The plan the compiler must derive: conv/branch_a/head chained on
@@ -418,6 +399,8 @@ TEST(LaunchGraph, ForkJoinMatchesHandWrittenPlan)
     EXPECT_EQ(plan.stream_of[static_cast<size_t>(branch_a)], 1);
     EXPECT_EQ(plan.stream_of[static_cast<size_t>(branch_b)], 2);
     EXPECT_EQ(plan.stream_of[static_cast<size_t>(head)], 1);
+    ASSERT_EQ(streams.size(), 2u);
+    EXPECT_NE(streams[0], streams[1]);
 
     Gpu gpu2(small_titan_v(4));
     Stream& s1 = gpu2.create_stream();
@@ -458,7 +441,7 @@ TEST(LaunchGraph, RejectsKernelCountMismatch)
     g.task_writes(a, t);
 
     Gpu gpu(small_titan_v(1));
-    EXPECT_THROW(gpu.launch_graph(g, {}), std::invalid_argument);
+    EXPECT_THROW(gpu.launch_graph(g.compile(), {}), std::invalid_argument);
 }
 
 // ---- Declarative scenario frontend --------------------------------------
@@ -482,19 +465,17 @@ TEST(ScenarioTaskGraph, CompilesDeclarativeForm)
       ]
     })");
     EXPECT_TRUE(sc.declarative);
-    EXPECT_TRUE(sc.dag.compiled);
-    EXPECT_EQ(sc.dag.num_streams, 2);
-    // Lowered onto the KernelSpec launch fields.
-    EXPECT_EQ(sc.kernels[0].stream, 1);
-    EXPECT_EQ(sc.kernels[1].stream, 1);
-    EXPECT_EQ(sc.kernels[2].stream, 2);
-    EXPECT_EQ(sc.kernels[0].record_event, "p_done");
-    ASSERT_EQ(sc.kernels[2].wait_events.size(), 1u);
-    EXPECT_EQ(sc.kernels[2].wait_events[0], "p_done");
+    EXPECT_EQ(sc.plan.num_streams, 2);
+    EXPECT_EQ(sc.stream_of(0), 1);
+    EXPECT_EQ(sc.stream_of(1), 1);
+    EXPECT_EQ(sc.stream_of(2), 2);
+    EXPECT_EQ(sc.plan.record_event[0], "p_done");
+    ASSERT_EQ(sc.plan.wait_events[2].size(), 1u);
+    EXPECT_EQ(sc.plan.wait_events[2][0], "p_done");
     // The arena resolved every tensor to a concrete address.
-    ASSERT_EQ(sc.dag.tensors.size(), 3u);
-    EXPECT_NE(sc.dag.tensors[1].address, sc.dag.tensors[0].address);
-    // And the lowered scenario actually runs.
+    ASSERT_EQ(sc.tensors.size(), 3u);
+    EXPECT_NE(sc.tensors[1].address, sc.tensors[0].address);
+    // And the compiled scenario actually runs.
     ScenarioResult r = run_scenario(sc);
     EXPECT_TRUE(r.passed) << r.error;
 }
@@ -592,33 +573,6 @@ TEST(ScenarioTaskGraph, UnknownTensorRejectionCarriesLineCol)
     }
 }
 
-TEST(ScenarioTaskGraph, ExplicitWaitIsAuditOnlyAnnotation)
-{
-    // a -> b has no data hazard: the declared wait is reported as
-    // false serialization and the lowered plan does not order b.
-    Scenario sc = parse_scenario_text(R"({
-      "name": "audit",
-      "tensors": [
-        {"name": "T", "bytes": 64},
-        {"name": "U", "bytes": 64}
-      ],
-      "kernels": [
-        {"kernel": "hmma_stress", "name": "a", "writes": ["T"],
-         "record_event": "a_done"},
-        {"kernel": "hmma_stress", "name": "b", "writes": ["U"],
-         "wait_event": "a_done"}
-      ]
-    })");
-    ASSERT_EQ(sc.dag.false_serialization.size(), 1u);
-    EXPECT_EQ(sc.dag.false_serialization[0].first, "a");
-    EXPECT_EQ(sc.dag.false_serialization[0].second, "b");
-    EXPECT_TRUE(sc.kernels[1].wait_events.empty());
-    EXPECT_NE(sc.kernels[0].stream, sc.kernels[1].stream);
-    // The explicit record_event name is honoured so event.<n>.cycle
-    // metrics keep resolving.
-    EXPECT_EQ(sc.kernels[0].record_event, "a_done");
-}
-
 TEST(ScenarioTaskGraph, CompiledPlanMatchesHandWrittenScenarioCycles)
 {
     // A tensor-parallel MLP layer in the declarative form must run
@@ -691,10 +645,9 @@ TEST(DagDump, JsonRoundTripsThroughDriverParser)
          "reads": ["T"], "writes": ["U"]}
       ]
     })");
-    const TaskGraphDag& dag = sc.dag;
-    EXPECT_TRUE(dag.compiled);
+    EXPECT_TRUE(sc.declarative);
 
-    JsonValue doc = json_parse(dag_to_json(sc, dag).dump());
+    JsonValue doc = json_parse(dag_to_json(sc).dump());
     EXPECT_EQ(doc.find("scenario")->as_string(), "dump_me");
     EXPECT_EQ(doc.find("declarative")->as_bool(), true);
     EXPECT_EQ(doc.find("num_streams")->as_int(), 1);
@@ -707,7 +660,7 @@ TEST(DagDump, JsonRoundTripsThroughDriverParser)
     ASSERT_NE(doc.find("tensors"), nullptr);
     EXPECT_EQ(doc.find("tensors")->as_array().size(), 2u);
 
-    std::string dot = dag_to_dot(sc, dag);
+    std::string dot = dag_to_dot(sc);
     EXPECT_NE(dot.find("digraph"), std::string::npos);
     EXPECT_NE(dot.find("\"p\" -> \"c\""), std::string::npos);
 }
@@ -721,11 +674,12 @@ TEST(DagDump, PlainScenarioIsOneEdgelessStream)
         {"kernel": "hmma_stress", "name": "c"}
       ]
     })");
-    EXPECT_FALSE(sc.dag.compiled);
-    EXPECT_EQ(sc.dag.num_streams, 1);
-    EXPECT_TRUE(sc.dag.edges.empty());
-    JsonValue doc = json_parse(dag_to_json(sc, sc.dag).dump());
+    EXPECT_FALSE(sc.declarative);
+    EXPECT_TRUE(sc.plan.edges.empty());
+    JsonValue doc = json_parse(dag_to_json(sc).dump());
     EXPECT_EQ(doc.find("declarative")->as_bool(), false);
+    EXPECT_EQ(doc.find("num_streams")->as_int(), 1);
+    EXPECT_TRUE(doc.find("edges")->as_array().empty());
     ASSERT_EQ(doc.find("tasks")->as_array().size(), 2u);
     EXPECT_EQ(doc.find("tasks")->as_array()[1].find("stream")->as_int(), 0);
 }

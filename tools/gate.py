@@ -27,7 +27,9 @@ promises:
             legs must hit the cache at least once.  This is the
             replay cache's accuracy check.
   dag       ``--dump-dag`` over the suite: every JSON artifact is
-            well-formed and every DOT twin is a Graphviz digraph.
+            well-formed, every wait names an event an earlier task on
+            another stream records, and every DOT twin is a Graphviz
+            digraph.
 
 Reports are compared after stripping the wall-clock keys in
 ``WALL_KEYS``; everything else (cycles, counters, events, serve
@@ -258,7 +260,7 @@ def gate_replay(simrunner, workdir):
 def check_dag(path, problems):
     dag = load(path)
     for key in ("scenario", "declarative", "num_streams", "tasks", "edges",
-                "false_serialization", "tensors"):
+                "tensors"):
         if key not in dag:
             problems.append("{}: missing key {!r}".format(path, key))
             return
@@ -292,11 +294,18 @@ def check_dag(path, problems):
                                 "producer does not record".format(
                                     path, e["from"], e["to"], e["event"]))
 
-    for pair in dag["false_serialization"]:
-        for end in (pair["from"], pair["to"]):
-            if end not in by_name:
-                problems.append("{}: false-serialization endpoint {!r} is "
-                                "not a task".format(path, end))
+    # Each wait must name an event an earlier task on another stream
+    # records (same-stream order needs no event).
+    recorder = {}
+    for t in dag["tasks"]:
+        for ev in t["wait_events"]:
+            producer = recorder.get(ev)
+            if producer is None or producer["stream"] == t["stream"]:
+                problems.append("{}: task {!r} waits on {!r}, which no "
+                                "earlier task on another stream records"
+                                .format(path, t["name"], ev))
+        if t.get("record_event"):
+            recorder[t["record_event"]] = t
 
 
 def gate_dag(simrunner, workdir):

@@ -450,13 +450,13 @@ main(int argc, char** argv)
         fs::create_directories(opts.dump_dag_dir, ec);
         int dump_failures = 0;
         for (const driver::Scenario& sc : scenarios) {
-            const driver::TaskGraphDag& dag = sc.dag;
             std::string name = sc.name;
             std::replace(name.begin(), name.end(), '/', '_');
             std::string base = opts.dump_dag_dir + "/" + name + ".dag";
-            bool ok = driver::json_write_file_atomic(
-                driver::dag_to_json(sc, dag), base + ".json", /*indent=*/2);
-            std::string dot = driver::dag_to_dot(sc, dag);
+            const driver::JsonValue dag = driver::dag_to_json(sc);
+            bool ok = driver::json_write_file_atomic(dag, base + ".json",
+                                                     /*indent=*/2);
+            std::string dot = driver::dag_to_dot(sc);
             if (std::FILE* f = std::fopen((base + ".dot").c_str(), "w")) {
                 ok &= std::fwrite(dot.data(), 1, dot.size(), f) ==
                       dot.size();
@@ -473,7 +473,9 @@ main(int argc, char** argv)
             std::printf("%s: %zu task(s), %zu edge(s), %d stream(s) -> "
                         "%s.{json,dot}\n",
                         sc.name.c_str(), sc.kernels.size(),
-                        dag.edges.size(), dag.num_streams, base.c_str());
+                        dag.find("edges")->as_array().size(),
+                        static_cast<int>(dag.find("num_streams")->as_int()),
+                        base.c_str());
         }
         return (load_failures || dump_failures) ? 1 : 0;
     }
