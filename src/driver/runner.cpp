@@ -57,28 +57,6 @@ class GemmSetupT : public GemmSetup
     GemmProblem<Acc> prob_;
 };
 
-/** Timing-only runs skip host data generation: bare allocations give
- *  the kernels valid, distinct address ranges.  Element widths come
- *  from the registry so the allocations cover exactly the address
- *  range each builder computes (sgemm_ffma addresses FP32 operands). */
-GemmBuffers
-alloc_only(const KernelSpec& spec, const KernelFamilyInfo& info,
-           GlobalMemory* mem)
-{
-    const uint64_t ab_elem = info.ab_elem_bytes;
-    // Only the WMMA families narrow C/D with TcMode; the SIMT
-    // baselines fix their element width per family.
-    uint64_t cd_elem = info.cd_elem_bytes;
-    if (info.supports_functional && spec.mode == TcMode::kFp16)
-        cd_elem = 2;
-    GemmBuffers buf;
-    buf.a = mem->alloc(static_cast<uint64_t>(spec.m) * spec.k * ab_elem);
-    buf.b = mem->alloc(static_cast<uint64_t>(spec.k) * spec.n * ab_elem);
-    buf.c = mem->alloc(static_cast<uint64_t>(spec.m) * spec.n * cd_elem);
-    buf.d = mem->alloc(static_cast<uint64_t>(spec.m) * spec.n * cd_elem);
-    return buf;
-}
-
 /** One prepared launch: descriptor plus deferred verification. */
 struct PreparedKernel
 {
@@ -105,7 +83,8 @@ prepare_kernel(const KernelSpec& spec, Arch arch, GlobalMemory* mem)
                 pk.setup = std::make_unique<GemmSetupT<float>>(spec);
             pk.buf = pk.setup->upload(mem);
         } else {
-            pk.buf = alloc_only(spec, *info, mem);
+            pk.buf = alloc_timing_operands(*info, spec.mode, spec.m, spec.n,
+                                           spec.k, mem);
         }
         GemmKernelConfig cfg;
         cfg.arch = arch;

@@ -1,6 +1,7 @@
 #include "kernels/kernel_registry.h"
 
 #include "common/logging.h"
+#include "sim/mem/global_memory.h"
 
 namespace tcsim {
 
@@ -55,6 +56,22 @@ build_gemm_kernel(KernelFamily family, const GemmKernelConfig& cfg,
       case KernelFamily::kHmmaStress: break;
     }
     panic("build_gemm_kernel: family is not GEMM-shaped");
+}
+
+GemmBuffers
+alloc_timing_operands(const KernelFamilyInfo& info, TcMode mode, int m, int n,
+                      int k, GlobalMemory* mem)
+{
+    const uint64_t ab = static_cast<uint64_t>(info.ab_elem_bytes);
+    uint64_t cd = static_cast<uint64_t>(info.cd_elem_bytes);
+    if (info.supports_functional && mode == TcMode::kFp16)
+        cd = 2;
+    GemmBuffers buf;
+    buf.a = mem->alloc(static_cast<uint64_t>(m) * k * ab);
+    buf.b = mem->alloc(static_cast<uint64_t>(k) * n * ab);
+    buf.c = mem->alloc(static_cast<uint64_t>(m) * n * cd);
+    buf.d = mem->alloc(static_cast<uint64_t>(m) * n * cd);
+    return buf;
 }
 
 double

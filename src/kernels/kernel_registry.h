@@ -14,6 +14,8 @@
 
 namespace tcsim {
 
+class GlobalMemory;
+
 /** The kernel builders the registry can instantiate. */
 enum class KernelFamily {
     kWmmaNaive,   ///< make_wmma_gemm_naive
@@ -57,6 +59,17 @@ std::string kernel_family_names();
 KernelDesc build_gemm_kernel(KernelFamily family,
                              const GemmKernelConfig& cfg,
                              const GemmBuffers& buf, int warps_per_cta);
+
+/**
+ * Timing-only operands for an @p m x @p n x @p k GEMM of @p info's
+ * family: bare allocations, in A, B, C, D order, that give the kernel
+ * valid, distinct address ranges without host data.  Element widths
+ * come from the registry so the ranges cover exactly what the builder
+ * addresses (sgemm_ffma addresses FP32 operands); only the WMMA
+ * families narrow C/D to FP16 under TcMode::kFp16.
+ */
+GemmBuffers alloc_timing_operands(const KernelFamilyInfo& info, TcMode mode,
+                                  int m, int n, int k, GlobalMemory* mem);
 
 /** FLOPs of one D = A x B + C GEMM (2*m*n*k). */
 double gemm_flops(int m, int n, int k);

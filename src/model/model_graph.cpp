@@ -344,7 +344,6 @@ Lowering::run()
             break;
         }
     }
-    out_.num_layers = static_cast<int>(g_.layers.size());
     return std::move(out_);
 }
 

@@ -8,9 +8,12 @@
  * elementwise) with shapes and precision — instead of a hand-written
  * kernel list.  lower_model() expands each layer into one or more
  * GEMM-shaped launches with named activation/weight tensors and
- * read/write sets; the result feeds directly into the task-graph
- * compiler (sim/graph/task_graph), so streams and events are always
- * derived from data hazards, never authored.
+ * read/write sets.  A model scenario feeds them to the task-graph
+ * compiler (sim/graph/task_graph), so its streams and events are
+ * derived from data hazards, never authored.  Every layer kind lowers
+ * to a chain (each launch reads its predecessor's output), so the
+ * serving engine enqueues a lowered batch in declaration order on one
+ * stream.
  *
  * The lowering is deliberately coarse: every layer becomes a dense
  * GEMM sized by the standard im2col/flattening identities, padded up
@@ -127,7 +130,6 @@ struct LoweredModel
 {
     std::vector<LoweredTensor> tensors;
     std::vector<LoweredKernel> kernels;
-    int num_layers = 0;
     /** kernels[] index of each layer's final launch (the layer
      *  boundary the serving engine hooks for continuous batching). */
     std::vector<int> last_kernel_of_layer;

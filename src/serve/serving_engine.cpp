@@ -8,7 +8,6 @@
 #include "common/logging.h"
 #include "kernels/kernel_registry.h"
 #include "sim/gpu.h"
-#include "sim/graph/task_graph.h"
 
 namespace tcsim::serve {
 
@@ -69,20 +68,22 @@ class ServingLoop
     /** Killed-batch requests awaiting re-queue: ready cycle -> index
      *  (multimap: equal ready cycles keep insertion order). */
     std::multimap<uint64_t, int> retry_ready_;
-    int in_flight_ = 0;
     int completed_ = 0;
     int shed_count_ = 0;
     int dropped_ = 0;
     int total_retries_ = 0;
     int killed_batches_ = 0;
-    int next_wavefront_ = 0;
     std::vector<RequestRecord> records_;
     std::vector<BatchRecord> batches_;
     std::vector<QueueSample> queue_timeline_;
-    /** Request indices of each in-flight wavefront. */
-    std::map<int, std::vector<int>> wavefront_reqs_;
-    /** Streams of each in-flight wavefront (for batch kills). */
-    std::map<int, std::vector<Stream*>> wavefront_streams_;
+    /** One in-flight wavefront: its request indices and its stream. */
+    struct Wavefront
+    {
+        std::vector<int> reqs;
+        Stream* stream = nullptr;
+    };
+    /** In-flight wavefronts by id; batches_[id] is each one's record. */
+    std::map<int, Wavefront> wavefronts_;
     double total_flops_ = 0;
 };
 
@@ -95,7 +96,7 @@ ServingLoop::state() const
         queue_.empty()
             ? 0
             : records_[static_cast<size_t>(queue_.front())].arrival_cycle;
-    s.in_flight = in_flight_;
+    s.in_flight = static_cast<int>(wavefronts_.size());
     return s;
 }
 
@@ -140,18 +141,8 @@ ServingLoop::make_desc(const model::LoweredKernel& lk)
 {
     const KernelFamilyInfo* info = find_kernel_family(lk.family);
     TCSIM_CHECK(info != nullptr && info->is_gemm);
-    // Timing-only launches: bare allocations give each kernel valid,
-    // distinct address ranges (the driver's alloc_only pattern).
-    const uint64_t ab = static_cast<uint64_t>(info->ab_elem_bytes);
-    uint64_t cd = static_cast<uint64_t>(info->cd_elem_bytes);
-    if (info->supports_functional && lk.mode == TcMode::kFp16)
-        cd = 2;
-    GlobalMemory& mem = gpu_.mem();
-    GemmBuffers buf;
-    buf.a = mem.alloc(static_cast<uint64_t>(lk.m) * lk.k * ab);
-    buf.b = mem.alloc(static_cast<uint64_t>(lk.k) * lk.n * ab);
-    buf.c = mem.alloc(static_cast<uint64_t>(lk.m) * lk.n * cd);
-    buf.d = mem.alloc(static_cast<uint64_t>(lk.m) * lk.n * cd);
+    const GemmBuffers buf =
+        alloc_timing_operands(*info, lk.mode, lk.m, lk.n, lk.k, &gpu_.mem());
     GemmKernelConfig kc;
     kc.arch = cfg_.arch;
     kc.mode = lk.mode;
@@ -168,63 +159,43 @@ ServingLoop::make_desc(const model::LoweredKernel& lk)
 void
 ServingLoop::launch_wavefront(std::vector<int> reqs, uint64_t now)
 {
-    const int wid = next_wavefront_++;
+    const int wid = static_cast<int>(batches_.size());
     model::LoweredModel lowered =
         model::lower_model(graph_, static_cast<int>(reqs.size()),
                            "b" + std::to_string(wid) + ".");
     total_flops_ += lowered.total_flops;
 
-    TaskGraph g;
-    std::map<std::string, int> tensor_ids;
-    for (const model::LoweredTensor& t : lowered.tensors)
-        tensor_ids[t.name] = g.declare_tensor(t.name, t.bytes);
-    for (const model::LoweredKernel& lk : lowered.kernels) {
-        const int t = g.add_task(lk.name);
-        for (const std::string& r : lk.reads)
-            g.task_reads(t, tensor_ids.at(r));
-        for (const std::string& w : lk.writes)
-            g.task_writes(t, tensor_ids.at(w));
-    }
-    std::vector<KernelDesc> descs;
-    descs.reserve(lowered.kernels.size());
-    for (const model::LoweredKernel& lk : lowered.kernels)
-        descs.push_back(make_desc(lk));
-
+    // One fresh stream per wavefront, kernels in declaration order:
+    // the lowering chains every layer kind, and declaration order is a
+    // topological order of its hazards, so an in-order stream is exact
+    // while different wavefronts still overlap.  Decision points: after
+    // each layer's last kernel the continuous batcher may join new
+    // work, and after the final kernel the wavefront completes.
     std::vector<bool> layer_last(lowered.kernels.size(), false);
     for (int idx : lowered.last_kernel_of_layer)
         layer_last[static_cast<size_t>(idx)] = true;
-    const size_t final_idx =
-        static_cast<size_t>(lowered.last_kernel_of_layer.back());
-
-    // Decision points: after each layer's last kernel the continuous
-    // batcher may join new work, and after the final kernel the
-    // wavefront completes.
-    std::vector<Stream*> streams = gpu_.launch_graph(
-        g.compile(), std::move(descs), [&](size_t t, Stream& s) {
-            if (t == final_idx)
-                s.add_callback([this, wid](uint64_t cycle) {
-                    on_wavefront_done(wid, cycle);
-                });
-            else if (layer_last[t])
-                s.add_callback([this](uint64_t cycle) { try_admit(cycle); });
-        });
+    Stream& stream = gpu_.create_stream();
+    for (size_t i = 0; i < lowered.kernels.size(); ++i) {
+        stream.enqueue(make_desc(lowered.kernels[i]));
+        if (i + 1 == lowered.kernels.size())
+            stream.add_callback([this, wid](uint64_t cycle) {
+                on_wavefront_done(wid, cycle);
+            });
+        else if (layer_last[i])
+            stream.add_callback([this](uint64_t cycle) { try_admit(cycle); });
+    }
 
     for (int ridx : reqs) {
         RequestRecord& r = records_[static_cast<size_t>(ridx)];
         r.admit_cycle = now;
         r.batch = wid;
     }
-    // Wavefront ids are dense and issued in order: batches_[wid] is
-    // wavefront wid's record.
-    TCSIM_CHECK(batches_.size() == static_cast<size_t>(wid));
     BatchRecord b;
     b.id = wid;
     b.admit_cycle = now;
     b.size = static_cast<int>(reqs.size());
     batches_.push_back(b);
-    wavefront_reqs_[wid] = std::move(reqs);
-    wavefront_streams_[wid] = std::move(streams);
-    ++in_flight_;
+    wavefronts_[wid] = {std::move(reqs), &stream};
 }
 
 void
@@ -253,16 +224,14 @@ ServingLoop::try_admit(uint64_t now)
 void
 ServingLoop::on_wavefront_done(int wid, uint64_t cycle)
 {
-    auto it = wavefront_reqs_.find(wid);
-    TCSIM_CHECK(it != wavefront_reqs_.end());
-    for (int ridx : it->second) {
+    auto it = wavefronts_.find(wid);
+    TCSIM_CHECK(it != wavefronts_.end());
+    for (int ridx : it->second.reqs) {
         records_[static_cast<size_t>(ridx)].finish_cycle = cycle;
         ++completed_;
     }
     batches_[static_cast<size_t>(wid)].finish_cycle = cycle;
-    wavefront_reqs_.erase(it);
-    wavefront_streams_.erase(wid);
-    --in_flight_;
+    wavefronts_.erase(it);
     // A completed batch frees capacity: the policy may admit again.
     try_admit(cycle);
 }
@@ -272,29 +241,25 @@ ServingLoop::kill_due_wavefronts(uint64_t now)
 {
     // Batch timeout: a wavefront admitted more than
     // batch_timeout_cycles ago is presumed hung.  Kill it only once
-    // every one of its streams is quiescent (a fault-hung launch is
-    // quiescent by construction; a stream still executing CTAs
-    // postpones the kill to a later loop iteration — the engine
-    // drains CTAs on its own, so the wait is bounded).
+    // its stream is quiescent (a fault-hung launch is quiescent by
+    // construction; a stream still executing CTAs postpones the kill
+    // to a later loop iteration — the engine drains CTAs on its own,
+    // so the wait is bounded).
     std::vector<int> due;
-    for (const auto& [wid, streams] : wavefront_streams_) {
+    for (const auto& [wid, w] : wavefronts_) {
         const uint64_t admit = batches_[static_cast<size_t>(wid)].admit_cycle;
-        if (now < admit + res_.batch_timeout_cycles)
-            continue;
-        bool quiescent = true;
-        for (Stream* s : streams)
-            quiescent &= gpu_.stream_quiescent(*s);
-        if (quiescent)
+        if (now >= admit + res_.batch_timeout_cycles &&
+            gpu_.stream_quiescent(*w.stream))
             due.push_back(wid);
     }
     for (int wid : due) {
-        for (Stream* s : wavefront_streams_[wid])
-            gpu_.kill_stream(*s);
+        auto it = wavefronts_.find(wid);
+        gpu_.kill_stream(*it->second.stream);
         ++killed_batches_;
         BatchRecord& b = batches_[static_cast<size_t>(wid)];
         b.killed = true;
         b.finish_cycle = now;
-        for (int ridx : wavefront_reqs_[wid]) {
+        for (int ridx : it->second.reqs) {
             RequestRecord& r = records_[static_cast<size_t>(ridx)];
             if (r.retries >= res_.max_retries) {
                 // Budget exhausted: this kill is a drop, not another
@@ -313,9 +278,7 @@ ServingLoop::kill_due_wavefronts(uint64_t now)
                     ridx);
             }
         }
-        wavefront_reqs_.erase(wid);
-        wavefront_streams_.erase(wid);
-        --in_flight_;
+        wavefronts_.erase(it);
     }
     if (!due.empty())
         try_admit(now);
@@ -445,13 +408,13 @@ ServingLoop::run()
         if (!retry_ready_.empty())
             next = std::min(next, retry_ready_.begin()->first);
         if (res_.batch_timeout_cycles > 0)
-            for (const auto& [wid, streams] : wavefront_streams_)
+            for (const auto& [wid, w] : wavefronts_)
                 next = std::min(
                     next, batches_[static_cast<size_t>(wid)].admit_cycle +
                               res_.batch_timeout_cycles);
         // A stimulus past the simulation horizon is no stimulus.
         if (next == UINT64_MAX || next > sim_.max_cycles) {
-            if (in_flight_ == 0) {
+            if (wavefronts_.empty()) {
                 if (finished() == static_cast<int>(total))
                     break;
                 // No reachable arrival or deadline, nothing running,
@@ -475,11 +438,12 @@ ServingLoop::run()
                 // recover it: the in-flight requests can never
                 // finish.
                 throw ServingError(detail::format(
-                    "serving loop wedged at cycle %llu: %d batch(es) "
+                    "serving loop wedged at cycle %llu: %zu batch(es) "
                     "in flight but the GPU is blocked and no batch "
                     "timeout is configured to kill them %s",
                     static_cast<unsigned long long>(before_cycle),
-                    in_flight_, loop_state_string(before_cycle).c_str()));
+                    wavefronts_.size(),
+                    loop_state_string(before_cycle).c_str()));
             }
             continue;
         }

@@ -22,11 +22,12 @@
  * proportional to work, not to wall-clock span.
  *
  * Each admitted batch ("wavefront") is lowered from the declarative
- * ModelGraph with a per-wavefront name prefix, compiled through the
- * task-graph compiler, and enqueued on fresh streams — so intra-batch
- * dependencies are derived from tensor hazards and different
- * wavefronts are automatically independent, overlapping on the GPU
- * exactly as far as SM capacity allows.
+ * ModelGraph with a per-wavefront name prefix and enqueued on one
+ * fresh stream in declaration order.  Every layer kind lowers to a
+ * chain, and declaration order is a topological order of the lowered
+ * tensor hazards, so the in-order stream is exact; different
+ * wavefronts are independent streams, overlapping on the GPU exactly
+ * as far as SM capacity allows.
  *
  * Every decision is a function of simulated cycles and queue state,
  * and callbacks fire on the engine thread in canonical order, so

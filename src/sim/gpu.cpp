@@ -265,10 +265,9 @@ Gpu::restore(const Snapshot& snap)
         throw SnapshotError("trailing bytes after the end tag");
 }
 
-std::vector<Stream*>
+void
 Gpu::launch_graph(const TaskGraph::Compiled& plan,
-                  std::vector<KernelDesc> kernels,
-                  const std::function<void(size_t, Stream&)>& after_task)
+                  std::vector<KernelDesc> kernels)
 {
     if (kernels.size() != plan.stream_of.size())
         throw std::invalid_argument(
@@ -295,10 +294,7 @@ Gpu::launch_graph(const TaskGraph::Compiled& plan,
             events[plan.record_event[t]] = &ev;
             s.record(ev);
         }
-        if (after_task)
-            after_task(t, s);
     }
-    return streams;
 }
 
 LaunchStats

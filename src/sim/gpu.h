@@ -14,7 +14,9 @@
  *  - Events: create_event() + Stream::record()/wait() build dependency
  *    DAGs across streams; Event::elapsed_cycles() times sub-windows.
  *  - Task graphs: launch_graph() enqueues a TaskGraph::Compiled plan —
- *    the one path from a plan to streams, waits, launches and records.
+ *    the one path from a plan to streams, waits, launches and records
+ *    (the scenario runner's declarative form calls it; serving
+ *    enqueues each wavefront on one stream directly).
  *  - Incremental runs: run_until(cycle) pauses a run at a cycle bound,
  *    synchronize(stream|event) drains one stream or waits for one
  *    event; both return an O(1) RunProgress, and stats() builds the
@@ -25,7 +27,6 @@
  *    original lock-step simulator.
  */
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -161,16 +162,13 @@ class Gpu
      * Enqueue compiled @p plan, one kernel per task (kernels[t] is
      * task t's launch): fresh streams are created for the plan's
      * stream set, and in declaration order each task's stream waits on
-     * its events, launches the kernel, records the task's event (named
-     * as in the plan) and then calls @p after_task(t, stream), where a
-     * caller may plant callbacks.  Nothing runs yet — follow with
-     * run()/run_until() as usual.  Returns the created streams (task t
-     * runs on element plan.stream_of[t] - 1).  Throws
-     * std::invalid_argument on a kernel-count mismatch.
+     * its events, launches the kernel and records the task's event
+     * (named as in the plan).  Nothing runs yet — follow with
+     * run()/run_until() as usual.  Throws std::invalid_argument on a
+     * kernel-count mismatch.
      */
-    std::vector<Stream*> launch_graph(
-        const TaskGraph::Compiled& plan, std::vector<KernelDesc> kernels,
-        const std::function<void(size_t, Stream&)>& after_task = {});
+    void launch_graph(const TaskGraph::Compiled& plan,
+                      std::vector<KernelDesc> kernels);
 
     /** Run @p kernel alone to completion and return its statistics.
      *  Compatibility wrapper: cold caches, isolated timing — does not

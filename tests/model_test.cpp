@@ -3,17 +3,21 @@
  * Model-graph frontend tests: lowering of each layer kind to
  * GEMM-shaped launches (im2col/flattening identities, wmma tile
  * padding), activation chaining and its error cases, name prefixing
- * (the serving engine's per-wavefront namespace), and the scenario
- * "model" key end-to-end through the task-graph compiler.
+ * (the serving engine's per-wavefront namespace), every layer kind
+ * lowering to a chain, and the scenario "model" key end-to-end through
+ * the task-graph compiler.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <set>
 
 #include "driver/runner.h"
 #include "driver/scenario.h"
 #include "model/model_graph.h"
+#include "sim/graph/task_graph.h"
 
 using namespace tcsim;
 using namespace tcsim::model;
@@ -79,7 +83,6 @@ TEST(ModelLowering, ChainsActivationsAndRowsScaleWithTokens)
     EXPECT_EQ(lm.kernels[1].reads,
               (std::vector<std::string>{"fc0.out", "fc1.w"}));
     ASSERT_EQ(lm.last_kernel_of_layer, (std::vector<int>{0, 1}));
-    EXPECT_EQ(lm.num_layers, 2);
 }
 
 TEST(ModelLowering, InFeaturesMismatchThrows)
@@ -234,6 +237,63 @@ TEST(ModelLowering, PrefixNamespacesEverything)
             EXPECT_TRUE(tensors.count(r)) << r;
         for (const std::string& w : k.writes)
             EXPECT_TRUE(tensors.count(w)) << w;
+    }
+}
+
+TEST(ModelLowering, EveryLayerKindLowersToAChain)
+{
+    // The serving engine enqueues a lowered batch in declaration order
+    // on one stream.  That is exact because every layer kind lowers to
+    // a chain: compiled through the task graph, one of each kind (and
+    // an elementwise launch on both an image and a sequence) yields a
+    // single stream and no event, and every launch after the first
+    // reads what its predecessor writes.
+    ModelGraph g;
+    g.name = "kinds";
+    LayerSpec conv;
+    conv.kind = LayerKind::kConv2d;
+    conv.in_channels = 3;
+    conv.out_channels = 16;
+    conv.height = 8;
+    conv.width = 8;
+    g.layers.push_back(conv);
+    LayerSpec ew;
+    ew.kind = LayerKind::kElementwise;
+    g.layers.push_back(ew);
+    LayerSpec fc;
+    fc.kind = LayerKind::kLinear;
+    fc.out_features = 64;
+    g.layers.push_back(fc);
+    LayerSpec attn;
+    attn.kind = LayerKind::kAttention;
+    attn.heads = 2;
+    g.layers.push_back(attn);
+    g.layers.push_back(ew);
+    const LoweredModel lm = lower_model(g, 2, "b0.");
+    ASSERT_EQ(lm.kernels.size(), 8u);
+
+    TaskGraph tg;
+    std::map<std::string, int> ids;
+    for (const LoweredTensor& t : lm.tensors)
+        ids[t.name] = tg.declare_tensor(t.name, t.bytes);
+    for (const LoweredKernel& k : lm.kernels) {
+        const int t = tg.add_task(k.name);
+        for (const std::string& r : k.reads)
+            tg.task_reads(t, ids.at(r));
+        for (const std::string& w : k.writes)
+            tg.task_writes(t, ids.at(w));
+    }
+    const TaskGraph::Compiled plan = tg.compile();
+    EXPECT_EQ(plan.num_streams, 1);
+    for (const std::string& e : plan.record_event)
+        EXPECT_TRUE(e.empty()) << e;
+    for (size_t i = 1; i < lm.kernels.size(); ++i) {
+        const std::vector<std::string>& prev = lm.kernels[i - 1].writes;
+        const std::vector<std::string>& reads = lm.kernels[i].reads;
+        ASSERT_EQ(prev.size(), 1u) << lm.kernels[i - 1].name;
+        EXPECT_NE(std::find(reads.begin(), reads.end(), prev[0]),
+                  reads.end())
+            << lm.kernels[i].name << " does not read " << prev[0];
     }
 }
 

@@ -4,7 +4,8 @@
  * trace determinism, percentile math on known distributions, the
  * engine's idle fast-forward (advance_idle_to), and end-to-end
  * run_serving behaviour -- empty trace, single request, static
- * timeout flush, continuous join, and bit-identity between serial and
+ * timeout flush, continuous join, multi-kernel layers served in
+ * declaration order, and bit-identity between serial and
  * multi-threaded simulation.
  */
 
@@ -22,7 +23,6 @@
 #include "serve/request_trace.h"
 #include "serve/serving_engine.h"
 #include "sim/gpu.h"
-#include "sim/graph/task_graph.h"
 
 using namespace tcsim;
 using namespace tcsim::serve;
@@ -467,73 +467,64 @@ TEST(Serving, ContinuousAdmitsAtFinalLayerBoundary)
     EXPECT_EQ(b[1].admit_cycle, b[0].finish_cycle);
 }
 
-// --- Resilience: deadlines, shedding, retries ------------------------
-
-TEST(Serving, WavefrontEventsCarryTheBatchPrefixOnce)
+TEST(Serving, MultiKernelLayersRunInDeclarationOrder)
 {
-    // launch_wavefront lowers each batch under a "b<wid>." prefix and
-    // enqueues the compiled plan through Gpu::launch_graph, which names
-    // each event after its producer task alone: "b0.<task>_done".
-    // Every layer kind lowers to a chain (one stream, no events), as
-    // the attention model below shows, so a hand-built fork-join with
-    // batch-prefixed task names stands in for a cross-stream lowering.
-    model::ModelGraph attn;
-    attn.name = "attn";
-    attn.tokens_per_request = 16;
-    attn.input_features = 64;
-    model::LayerSpec l;
-    l.kind = model::LayerKind::kAttention;
-    l.embed_dim = 64;
-    l.heads = 2;
-    attn.layers.push_back(l);
-    const model::LoweredModel lm = model::lower_model(attn, 2, "b0.");
-    TaskGraph chain;
-    std::map<std::string, int> ids;
-    for (const model::LoweredTensor& t : lm.tensors)
-        ids[t.name] = chain.declare_tensor(t.name, t.bytes);
-    for (const model::LoweredKernel& k : lm.kernels) {
-        const int t = chain.add_task(k.name);
-        for (const std::string& r : k.reads)
-            chain.task_reads(t, ids.at(r));
-        for (const std::string& w : k.writes)
-            chain.task_writes(t, ids.at(w));
+    // Attention lowers to four GEMMs and elementwise to a wmma_naive
+    // launch, so the continuous batcher's layer-boundary callbacks sit
+    // mid-wavefront.  Each batch is one in-order stream: its kernels
+    // (matched by the "b<id>." prefix) run back to back in declaration
+    // order, and the report's flops are the lowered flops of every
+    // batch.
+    model::ModelGraph g;
+    g.name = "attn";
+    g.tokens_per_request = 16;
+    g.input_features = 64;
+    model::LayerSpec proj;
+    proj.kind = model::LayerKind::kLinear;
+    proj.out_features = 64;
+    g.layers.push_back(proj);
+    model::LayerSpec attn;
+    attn.kind = model::LayerKind::kAttention;
+    attn.heads = 2;
+    g.layers.push_back(attn);
+    model::LayerSpec act;
+    act.kind = model::LayerKind::kElementwise;
+    g.layers.push_back(act);
+
+    ContinuousBatcher policy(2, 2);
+    ServingResult r =
+        run_serving(small_gpu(), serial_sim(), g,
+                    at_cycles({0, 0, 0, 3000, 4000, 20000}), policy);
+    EXPECT_EQ(r.report.completed, 6);
+    ASSERT_GE(r.report.batches, 3);
+
+    std::map<std::string, const LaunchStats*> by_name;
+    for (const LaunchStats& k : r.totals.kernels)
+        by_name[k.kernel] = &k;
+    double flops = 0;
+    for (const BatchRecord& b : r.report.batch_records) {
+        const model::LoweredModel lm = model::lower_model(
+            g, b.size, "b" + std::to_string(b.id) + ".");
+        ASSERT_EQ(lm.kernels.size(), 6u);
+        flops += lm.total_flops;
+        const LaunchStats* prev = nullptr;
+        for (const model::LoweredKernel& lk : lm.kernels) {
+            auto it = by_name.find(lk.name);
+            ASSERT_NE(it, by_name.end()) << lk.name;
+            const LaunchStats* k = it->second;
+            if (prev) {
+                EXPECT_GE(k->start_cycle, prev->finish_cycle) << lk.name;
+                EXPECT_EQ(k->stream, prev->stream) << lk.name;
+            }
+            prev = k;
+        }
+        EXPECT_EQ(prev->finish_cycle + 1, b.finish_cycle) << b.id;
     }
-    const TaskGraph::Compiled chain_plan = chain.compile();
-    EXPECT_EQ(chain_plan.num_streams, 1);
-    for (const std::string& e : chain_plan.record_event)
-        EXPECT_TRUE(e.empty()) << e;
-
-    TaskGraph fork;
-    const int x = fork.declare_tensor("b0.x", 256);
-    const int a = fork.declare_tensor("b0.a", 256);
-    const int b = fork.declare_tensor("b0.b", 256);
-    const int out = fork.declare_tensor("b0.out", 256);
-    const int root = fork.add_task("b0.root");
-    fork.task_writes(root, x);
-    const int left = fork.add_task("b0.left");
-    fork.task_reads(left, x);
-    fork.task_writes(left, a);
-    const int right = fork.add_task("b0.right");
-    fork.task_reads(right, x);
-    fork.task_writes(right, b);
-    const int join = fork.add_task("b0.join");
-    fork.task_reads(join, a);
-    fork.task_reads(join, b);
-    fork.task_writes(join, out);
-
-    Gpu gpu(small_gpu(), serial_sim());
-    std::vector<KernelDesc> descs;
-    for (int t = 0; t < 4; ++t)
-        descs.push_back(make_hmma_stress(Arch::kVolta, TcMode::kMixed, 1, 2,
-                                         16, 4));
-    gpu.launch_graph(fork.compile(), std::move(descs));
-    const Event* root_done = gpu.find_event("b0.root_done");
-    ASSERT_NE(root_done, nullptr);
-    EXPECT_NE(gpu.find_event("b0.right_done"), nullptr);
-    EXPECT_EQ(gpu.find_event("b0.b0.root_done"), nullptr);
-    gpu.run();
-    EXPECT_TRUE(root_done->complete());
+    EXPECT_EQ(by_name.size(), 6u * r.report.batch_records.size());
+    EXPECT_DOUBLE_EQ(r.report.total_flops, flops);
 }
+
+// --- Resilience: deadlines, shedding, retries ------------------------
 
 TEST(ServingResilience, DeadlineMissAccounting)
 {

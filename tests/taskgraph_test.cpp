@@ -4,8 +4,9 @@
  * for read-after-read), view-declared overlap, multi-writer and
  * undeclared-aliasing rejection (with source line:col through the
  * scenario layer), diamond stream coloring and event placement,
- * Gpu::launch_graph cycle identity against the hand-written plan, the
- * declarative scenario frontend, and the --dump-dag JSON round-trip.
+ * Gpu::launch_graph cycle identity against the hand-written plan and
+ * its event naming, the declarative scenario frontend, and the
+ * --dump-dag JSON round-trip.
  */
 
 #include <gtest/gtest.h>
@@ -387,8 +388,7 @@ TEST(LaunchGraph, ForkJoinMatchesHandWrittenPlan)
     kernels.push_back(small_gemm(&gpu1, &branch_p, "branch_b"));
     kernels.push_back(small_gemm(&gpu1, &head_p, "head"));
     TaskGraph::Compiled plan = g.compile();
-    std::vector<Stream*> streams =
-        gpu1.launch_graph(plan, std::move(kernels));
+    gpu1.launch_graph(plan, std::move(kernels));
     EngineStats derived = gpu1.run();
 
     // The plan the compiler must derive: conv/branch_a/head chained on
@@ -399,8 +399,6 @@ TEST(LaunchGraph, ForkJoinMatchesHandWrittenPlan)
     EXPECT_EQ(plan.stream_of[static_cast<size_t>(branch_a)], 1);
     EXPECT_EQ(plan.stream_of[static_cast<size_t>(branch_b)], 2);
     EXPECT_EQ(plan.stream_of[static_cast<size_t>(head)], 1);
-    ASSERT_EQ(streams.size(), 2u);
-    EXPECT_NE(streams[0], streams[1]);
 
     Gpu gpu2(small_titan_v(4));
     Stream& s1 = gpu2.create_stream();
@@ -431,6 +429,43 @@ TEST(LaunchGraph, ForkJoinMatchesHandWrittenPlan)
                   manual.kernels[i].stalls.counts)
             << i;
     }
+}
+
+TEST(LaunchGraph, EventsKeepThePlanNames)
+{
+    // Each event is named after its producer task alone, so tasks
+    // already carrying a namespace prefix ("b0.") are not prefixed
+    // again: "b0.root_done", never "b0.b0.root_done".
+    TaskGraph g;
+    const int x = g.declare_tensor("b0.x", 256);
+    const int a = g.declare_tensor("b0.a", 256);
+    const int b = g.declare_tensor("b0.b", 256);
+    const int out = g.declare_tensor("b0.out", 256);
+    const int root = g.add_task("b0.root");
+    g.task_writes(root, x);
+    const int left = g.add_task("b0.left");
+    g.task_reads(left, x);
+    g.task_writes(left, a);
+    const int right = g.add_task("b0.right");
+    g.task_reads(right, x);
+    g.task_writes(right, b);
+    const int join = g.add_task("b0.join");
+    g.task_reads(join, a);
+    g.task_reads(join, b);
+    g.task_writes(join, out);
+
+    Gpu gpu(small_titan_v(4));
+    std::vector<KernelDesc> descs;
+    for (int t = 0; t < 4; ++t)
+        descs.push_back(make_hmma_stress(Arch::kVolta, TcMode::kMixed, 1, 2,
+                                         16, 4));
+    gpu.launch_graph(g.compile(), std::move(descs));
+    const Event* root_done = gpu.find_event("b0.root_done");
+    ASSERT_NE(root_done, nullptr);
+    EXPECT_NE(gpu.find_event("b0.right_done"), nullptr);
+    EXPECT_EQ(gpu.find_event("b0.b0.root_done"), nullptr);
+    gpu.run();
+    EXPECT_TRUE(root_done->complete());
 }
 
 TEST(LaunchGraph, RejectsKernelCountMismatch)
